@@ -5,9 +5,11 @@
 //
 //  * wall-clock per-op on the real-threads backend — detector off,
 //    off + recorder (the "always-on recording" production config), full
-//    dual-clock live, and dual-clock + recorder. The record/off ratio is
+//    dual-clock live, and dual-clock + recorder. The record/plain ratio is
 //    the headline number and is gated (tools/bench_gate.py) against
-//    bench/baseline.json: machine speed cancels in the ratio.
+//    bench/baseline.json: machine speed cancels in the ratio. It is the
+//    median over kPairs interleaved (plain, recorded) run pairs, so a host
+//    slowdown that outlasts one pair cancels inside that pair's ratio.
 //  * virtual-time invariance on the simulator — the recorder hooks the
 //    engine, not the wire, so recorded runs must cost EXACTLY the same
 //    virtual ns/op as unrecorded ones (deterministic, exact-gated).
@@ -36,6 +38,7 @@ using runtime::World;
 
 constexpr int kRanks = 4;
 constexpr int kOpsPerRank = 5'000;  // × 2 ops (put + get) per iteration.
+constexpr int kPairs = 9;           // interleaved (plain, recorded) runs per config.
 
 struct ThreadCost {
   double wall_ns_per_op = 0;
@@ -44,46 +47,87 @@ struct ThreadCost {
 
 /// One threaded run: every rank hammers its own area with put+get pairs
 /// (disjoint areas — pure per-op engine + recorder cost, no contention
-/// beyond stripe sharing). Median of `reps` wall times.
-ThreadCost measure_thread(core::DetectorMode mode, bool record, int reps = 3) {
+/// beyond stripe sharing).
+ThreadCost measure_thread(core::DetectorMode mode, bool record) {
   const double ops = static_cast<double>(kRanks) * kOpsPerRank * 2;
-  std::vector<double> walls;
-  double log_bytes = 0;
-  for (int rep = 0; rep < reps; ++rep) {
-    ThreadWorldConfig config;
-    config.nprocs = kRanks;
-    config.mode = mode;
-    record::Recorder recorder(kRanks, record::Backend::kThread, mode,
-                              config.lock_clock_handoff, config.acked_puts);
-    if (record) config.recorder = &recorder;
-    ThreadWorld world(config);
-    std::vector<GlobalAddress> areas;
-    for (int r = 0; r < kRanks; ++r) {
-      std::string name = "a";
-      name += std::to_string(r);
-      areas.push_back(world.alloc(r, 8, name));
-    }
-    for (int r = 0; r < kRanks; ++r) {
-      world.spawn(r, [r, areas](ThreadProcess& p) {
-        std::vector<std::byte> value(8);
-        for (int i = 0; i < kOpsPerRank; ++i) {
-          std::memcpy(value.data(), &i, sizeof(i));
-          p.put(areas[static_cast<std::size_t>(r)], value);
-          p.get(areas[static_cast<std::size_t>(r)], 8);
-        }
-      });
-    }
-    const auto report = world.run();
-    DSMR_CHECK(report.completed);
-    walls.push_back(static_cast<double>(report.wall_ns) / ops);
-    if (record) {
-      recorder.finish(world.races().reports(), report.completed,
-                      report.stuck_ranks);
-      log_bytes = static_cast<double>(recorder.log().serialize().size()) / ops;
-    }
+  ThreadWorldConfig config;
+  config.nprocs = kRanks;
+  config.mode = mode;
+  record::Recorder recorder(kRanks, record::Backend::kThread, mode,
+                            config.lock_clock_handoff, config.acked_puts);
+  if (record) config.recorder = &recorder;
+  ThreadWorld world(config);
+  std::vector<GlobalAddress> areas;
+  for (int r = 0; r < kRanks; ++r) {
+    std::string name = "a";
+    name += std::to_string(r);
+    areas.push_back(world.alloc(r, 8, name));
   }
-  std::sort(walls.begin(), walls.end());
-  return ThreadCost{walls[walls.size() / 2], log_bytes};
+  for (int r = 0; r < kRanks; ++r) {
+    world.spawn(r, [r, areas](ThreadProcess& p) {
+      std::vector<std::byte> value(8);
+      for (int i = 0; i < kOpsPerRank; ++i) {
+        std::memcpy(value.data(), &i, sizeof(i));
+        p.put(areas[static_cast<std::size_t>(r)], value);
+        p.get(areas[static_cast<std::size_t>(r)], 8);
+      }
+    });
+  }
+  const auto report = world.run();
+  DSMR_CHECK(report.completed);
+  ThreadCost cost;
+  cost.wall_ns_per_op = static_cast<double>(report.wall_ns) / ops;
+  if (record) {
+    recorder.finish(world.races().reports(), report.completed, report.stuck_ranks);
+    cost.log_bytes_per_op = static_cast<double>(recorder.log().serialize().size()) / ops;
+  }
+  return cost;
+}
+
+/// Value at quantile `q` of `values` (nearest rank; sorts a copy).
+double quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  return values[static_cast<std::size_t>(q * static_cast<double>(values.size() - 1) + 0.5)];
+}
+
+/// Recorded vs plain cost of one detector mode over kPairs interleaved run
+/// pairs. Each pair runs the two configs back to back, alternating which
+/// goes first, and contributes one recorded/plain ratio.
+struct PairedCost {
+  double plain_ns = 0;     ///< median plain wall ns/op.
+  double recorded_ns = 0;  ///< median recorded wall ns/op.
+  double ratio = 0;        ///< median of the per-pair recorded/plain ratios.
+  double ratio_q1 = 0;
+  double ratio_q3 = 0;
+  double log_bytes_per_op = 0;
+};
+
+PairedCost measure_pairs(core::DetectorMode mode) {
+  std::vector<double> plain;
+  std::vector<double> recorded;
+  std::vector<double> ratios;
+  PairedCost cost;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    ThreadCost p;
+    ThreadCost r;
+    if (pair % 2 == 0) {
+      p = measure_thread(mode, false);
+      r = measure_thread(mode, true);
+    } else {
+      r = measure_thread(mode, true);
+      p = measure_thread(mode, false);
+    }
+    plain.push_back(p.wall_ns_per_op);
+    recorded.push_back(r.wall_ns_per_op);
+    ratios.push_back(r.wall_ns_per_op / p.wall_ns_per_op);
+    cost.log_bytes_per_op = r.log_bytes_per_op;
+  }
+  cost.plain_ns = quantile(plain, 0.5);
+  cost.recorded_ns = quantile(recorded, 0.5);
+  cost.ratio = quantile(ratios, 0.5);
+  cost.ratio_q1 = quantile(ratios, 0.25);
+  cost.ratio_q3 = quantile(ratios, 0.75);
+  return cost;
 }
 
 /// Virtual put cost on the sim backend with a recorder attached — must be
@@ -148,7 +192,7 @@ void BM_ThreadOpRecorded(benchmark::State& state) {
   const auto mode = static_cast<core::DetectorMode>(state.range(0));
   const bool record = state.range(1) != 0;
   ThreadCost cost;
-  for (auto _ : state) cost = measure_thread(mode, record, 1);
+  for (auto _ : state) cost = measure_thread(mode, record);
   state.counters["wall_ns_per_op"] = cost.wall_ns_per_op;
 }
 BENCHMARK(BM_ThreadOpRecorded)
@@ -156,31 +200,29 @@ BENCHMARK(BM_ThreadOpRecorded)
     ->ArgNames({"mode", "record"});
 
 void print_summary() {
-  struct Config {
-    const char* label;
-    core::DetectorMode mode;
-    bool record;
+  const std::pair<const char*, core::DetectorMode> modes[] = {
+      {"off", core::DetectorMode::kOff},
+      {"dual-clock", core::DetectorMode::kDualClock},
   };
-  const Config configs[] = {
-      {"off", core::DetectorMode::kOff, false},
-      {"off+record", core::DetectorMode::kOff, true},
-      {"dual-clock", core::DetectorMode::kDualClock, false},
-      {"dual-clock+record", core::DetectorMode::kDualClock, true},
-  };
-  util::Table table({"config", "wall ns/op", "x off", "log B/op"});
-  const ThreadCost base = measure_thread(core::DetectorMode::kOff, false);
-  for (const auto& config : configs) {
-    const ThreadCost cost = measure_thread(config.mode, config.record);
-    table.add_row({config.label, util::Table::fmt(cost.wall_ns_per_op, 0),
-                   util::Table::fmt(cost.wall_ns_per_op / base.wall_ns_per_op, 2),
+  util::Table table({"config", "plain ns/op", "recorded ns/op", "ratio (median)",
+                     "ratio q1..q3", "log B/op"});
+  for (const auto& [label, mode] : modes) {
+    const PairedCost cost = measure_pairs(mode);
+    table.add_row({label, util::Table::fmt(cost.plain_ns, 0),
+                   util::Table::fmt(cost.recorded_ns, 0), util::Table::fmt(cost.ratio, 2),
+                   util::Table::fmt(cost.ratio_q1, 2) + ".." +
+                       util::Table::fmt(cost.ratio_q3, 2),
                    util::Table::fmt(cost.log_bytes_per_op, 1)});
-    json_add("record_op_wall",
-             {{"backend", "thread"}, {"config", config.label}},
-             cost.wall_ns_per_op);
+    const std::string recorded_label = std::string(label) + "+record";
+    json_add("record_op_wall", {{"backend", "thread"}, {"config", label}}, cost.plain_ns);
+    json_add("record_op_wall", {{"backend", "thread"}, {"config", recorded_label}},
+             cost.recorded_ns);
+    json_add("record_op_ratio", {{"backend", "thread"}, {"config", label}}, cost.ratio);
   }
   print_table(
       "=== recording overhead: threaded backend, wall clock per op (n=4) ===\n"
-      "(record/off is the gated ratio — the always-on production cost)",
+      "(recorded/plain, median of " + std::to_string(kPairs) +
+          " interleaved pairs, is the gated ratio — the always-on production cost)",
       table);
 
   {

@@ -2,9 +2,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 
 #include "net/message.hpp"
 #include "sim/time.hpp"
@@ -12,11 +12,20 @@
 
 namespace dsmr::net {
 
+/// Message counts indexed by MsgType: a flat table, so charging a message
+/// is one increment rather than a map lookup.
+struct MessageTypeCounts {
+  std::array<std::uint64_t, kMsgTypeCount> counts{};
+
+  std::uint64_t& operator[](MsgType type) { return counts[static_cast<std::size_t>(type)]; }
+  std::uint64_t at(MsgType type) const { return counts[static_cast<std::size_t>(type)]; }
+};
+
 /// Per-message-type traffic counters; the raw material for the
 /// communication-overhead experiment (paper §V.A / EXPERIMENTS.md
 /// CLAIM-V.A2).
 struct TrafficCounters {
-  std::map<MsgType, std::uint64_t> messages_by_type;
+  MessageTypeCounts messages_by_type;
   std::uint64_t total_messages = 0;
   std::uint64_t total_bytes = 0;
   std::uint64_t data_path_messages = 0;  ///< the messages Fig. 2 counts.
@@ -34,14 +43,20 @@ struct TrafficCounters {
   std::uint64_t faults_injected = 0;         ///< drops/corruptions/blackout losses.
   std::uint64_t undeliverable_messages = 0;  ///< retry cap exhausted.
 
-  void record(const Message& m) {
-    messages_by_type[m.type] += 1;
+  /// Charges one message of the given shape: `payload` user bytes and
+  /// `clocks` charged detection-clock bytes (Message::charged_clock_bytes).
+  /// Callers that never build the Message (the threaded backend) charge
+  /// through here directly.
+  void record_shape(MsgType type, std::size_t payload, std::size_t clocks) {
+    messages_by_type[type] += 1;
     total_messages += 1;
-    total_bytes += m.wire_size();
-    payload_bytes += m.data.size();
-    clock_bytes += m.charged_clock_bytes();
-    if (is_data_path(m.type)) data_path_messages += 1;
+    total_bytes += Message::wire_bytes(payload, clocks);
+    payload_bytes += payload;
+    clock_bytes += clocks;
+    if (is_data_path(type)) data_path_messages += 1;
   }
+
+  void record(const Message& m) { record_shape(m.type, m.data.size(), m.charged_clock_bytes()); }
 
   void reset() { *this = TrafficCounters{}; }
 
@@ -50,7 +65,9 @@ struct TrafficCounters {
   /// (single-writer, no atomics needed) and the owner folds the shards
   /// after the senders have quiesced (net::ThreadFabric does exactly this).
   void merge(const TrafficCounters& other) {
-    for (const auto& [type, n] : other.messages_by_type) messages_by_type[type] += n;
+    for (std::size_t i = 0; i < kMsgTypeCount; ++i) {
+      messages_by_type.counts[i] += other.messages_by_type.counts[i];
+    }
     total_messages += other.total_messages;
     total_bytes += other.total_bytes;
     data_path_messages += other.data_path_messages;

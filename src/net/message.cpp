@@ -28,20 +28,6 @@ const char* to_string(MsgType type) {
   return "?";
 }
 
-bool is_data_path(MsgType type) {
-  switch (type) {
-    case MsgType::kPutData:
-    case MsgType::kGetRequest:
-    case MsgType::kGetResponse:
-    case MsgType::kPutCommit:
-    case MsgType::kGetLockedRequest:
-    case MsgType::kGetLockedResponse:
-      return true;
-    default:
-      return false;
-  }
-}
-
 std::string Message::describe() const {
   std::ostringstream out;
   out << to_string(type) << " P" << src << "->P" << dst << " op=" << op_id

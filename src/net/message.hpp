@@ -53,10 +53,25 @@ enum class MsgType : std::uint8_t {
   kSignal,
 };
 
+/// Number of MsgType values: the size of a table indexed by message type.
+inline constexpr std::size_t kMsgTypeCount = static_cast<std::size_t>(MsgType::kSignal) + 1;
+
 const char* to_string(MsgType type);
 
 /// True for the messages that move user payload (the ones Fig. 2 counts).
-bool is_data_path(MsgType type);
+constexpr bool is_data_path(MsgType type) {
+  switch (type) {
+    case MsgType::kPutData:
+    case MsgType::kGetRequest:
+    case MsgType::kGetResponse:
+    case MsgType::kPutCommit:
+    case MsgType::kGetLockedRequest:
+    case MsgType::kGetLockedResponse:
+      return true;
+    default:
+      return false;
+  }
+}
 
 /// One NIC-to-NIC message. A fat struct rather than a serialized buffer:
 /// the simulator charges wire cost via wire_size() instead of actually
@@ -100,8 +115,13 @@ struct Message {
   /// against the first (VectorClock::delta_wire_size): V and W of one area
   /// usually differ in at most a few components, so the piggyback cost of
   /// the second clock collapses to a tag byte plus the sparse diff.
-  std::size_t wire_size() const {
-    return kHeaderBytes + data.size() + charged_clock_bytes();
+  std::size_t wire_size() const { return wire_bytes(data.size(), charged_clock_bytes()); }
+
+  /// Wire bytes of a message of this shape: the one formula behind both
+  /// wire_size() and the traffic counters.
+  static constexpr std::size_t wire_bytes(std::size_t payload_bytes,
+                                          std::size_t clock_bytes) {
+    return kHeaderBytes + payload_bytes + clock_bytes;
   }
 
   std::size_t charged_clock_bytes() const {

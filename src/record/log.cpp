@@ -110,28 +110,21 @@ std::string VerdictSignature::to_string() const {
 }
 
 std::uint64_t AreaIndex::add(Rank home, std::uint32_t id) {
-  const std::uint64_t k = key(home, id);
-  DSMR_REQUIRE(!contains(home, id),
-               "area registered twice: home " << home << " id " << id);
-  const std::uint64_t index = flat_.size();
-  flat_.emplace_back(k, index);
-  return index;
+  DSMR_REQUIRE(home >= 0, "area registered on negative home " << home);
+  const auto h = static_cast<std::size_t>(home);
+  if (h >= by_home_.size()) by_home_.resize(h + 1);
+  std::vector<std::uint64_t>& ids = by_home_[h];
+  DSMR_REQUIRE(id >= ids.size(), "area registered twice: home " << home << " id " << id);
+  DSMR_REQUIRE(id == ids.size(), "area registered out of allocation order: home "
+                                     << home << " id " << id << ", expected id "
+                                     << ids.size());
+  ids.push_back(size_);
+  return size_++;
 }
 
-std::uint64_t AreaIndex::at(Rank home, std::uint32_t id) const {
-  const std::uint64_t k = key(home, id);
-  for (const auto& [key_, index] : flat_) {
-    if (key_ == k) return index;
-  }
+void AreaIndex::unknown_area(Rank home, std::uint32_t id) {
   DSMR_REQUIRE(false, "area not registered with the recorder: home "
                           << home << " id " << id);
-  return 0;
-}
-
-bool AreaIndex::contains(Rank home, std::uint32_t id) const {
-  const std::uint64_t k = key(home, id);
-  return std::any_of(flat_.begin(), flat_.end(),
-                     [k](const auto& entry) { return entry.first == k; });
 }
 
 AreaIndex make_area_index(const std::vector<AreaEntry>& areas) {

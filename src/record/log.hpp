@@ -166,21 +166,30 @@ struct VerdictSignature {
 
 /// Maps (home rank, per-segment AreaId) to the flat registration index the
 /// log speaks. Both recorder and replay maintain one; registration order is
-/// the allocation order, which is deterministic per program.
+/// the allocation order, which is deterministic per program. PublicSegment
+/// assigns AreaIds 0,1,2,... per home in allocation order, so the map is a
+/// per-home table indexed by id: add and lookup are O(1).
 class AreaIndex {
  public:
-  /// Registers the next area; returns its flat index.
+  /// Registers the next area; returns its flat index. REQUIREs that `id` is
+  /// the next unregistered id of `home` (a repeat is a double registration).
   std::uint64_t add(Rank home, std::uint32_t id);
-  std::uint64_t at(Rank home, std::uint32_t id) const;  ///< REQUIREs presence.
-  bool contains(Rank home, std::uint32_t id) const;
-  std::size_t size() const { return flat_.size(); }
+  /// REQUIREs presence.
+  std::uint64_t at(Rank home, std::uint32_t id) const {
+    if (!contains(home, id)) [[unlikely]] unknown_area(home, id);
+    return by_home_[static_cast<std::size_t>(home)][id];
+  }
+  bool contains(Rank home, std::uint32_t id) const {
+    return home >= 0 && static_cast<std::size_t>(home) < by_home_.size() &&
+           id < by_home_[static_cast<std::size_t>(home)].size();
+  }
+  std::size_t size() const { return size_; }
 
  private:
-  static std::uint64_t key(Rank home, std::uint32_t id) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(home)) << 32) |
-           id;
-  }
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> flat_;  // (key, index)
+  [[noreturn]] static void unknown_area(Rank home, std::uint32_t id);
+
+  std::vector<std::vector<std::uint64_t>> by_home_;  ///< [home][id] -> flat.
+  std::size_t size_ = 0;
 };
 
 /// Rebuilds the (home, AreaId) → flat mapping from a parsed log's area

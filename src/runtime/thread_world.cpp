@@ -227,8 +227,13 @@ ThreadProcess::Resolved ThreadProcess::resolve(mem::GlobalAddress addr,
   return Resolved{node, area};
 }
 
-void ThreadProcess::account(net::Message m) {
-  world_.fabric_.shard(rank_).record(m);
+void ThreadProcess::account(net::MsgType type, std::size_t payload_bytes,
+                            std::size_t clock_bytes) {
+  world_.fabric_.shard(rank_).record_shape(type, payload_bytes, clock_bytes);
+}
+
+std::size_t ThreadProcess::detection_clock_bytes(const clocks::VectorClock& clock) const {
+  return world_.config_.mode == core::DetectorMode::kOff ? 0 : clock.wire_size();
 }
 
 std::uint64_t ThreadProcess::recorded_area(Rank home, mem::AreaId area_id) const {
@@ -277,25 +282,8 @@ void ThreadProcess::put(mem::GlobalAddress dst, const std::vector<std::byte>& da
 
   // Wire-equivalent accounting, kHomeSide shapes: one commit carrying the
   // initiator clock, one ack (carrying the completion clock when acked).
-  net::Message commit;
-  commit.type = net::MsgType::kPutCommit;
-  commit.src = rank_;
-  commit.dst = dst.rank;
-  commit.area = area->id;
-  commit.data.resize(data.size());
-  commit.clock = clock_;
-  account(std::move(commit));
-  net::Message ack;
-  ack.type = net::MsgType::kPutCommitAck;
-  ack.src = dst.rank;
-  ack.dst = rank_;
-  ack.area = area->id;
-  if (acked) {
-    ack.clock = completion;
-  } else {
-    ack.clocks_on_wire = false;
-  }
-  account(std::move(ack));
+  account(net::MsgType::kPutCommit, data.size(), detection_clock_bytes(clock_));
+  account(net::MsgType::kPutCommitAck, 0, acked ? detection_clock_bytes(completion) : 0);
   world_.replay_advance();
 }
 
@@ -330,21 +318,8 @@ std::vector<std::byte> ThreadProcess::get(mem::GlobalAddress src, std::uint32_t 
   }
   clock_.merge_from(reads_from);
 
-  net::Message request;
-  request.type = net::MsgType::kGetLockedRequest;
-  request.src = rank_;
-  request.dst = src.rank;
-  request.area = area->id;
-  request.clock = clock_;
-  account(std::move(request));
-  net::Message response;
-  response.type = net::MsgType::kGetLockedResponse;
-  response.src = src.rank;
-  response.dst = rank_;
-  response.area = area->id;
-  response.data.resize(len);
-  response.clock = reads_from;
-  account(std::move(response));
+  account(net::MsgType::kGetLockedRequest, 0, detection_clock_bytes(clock_));
+  account(net::MsgType::kGetLockedResponse, len, detection_clock_bytes(reads_from));
   world_.replay_advance();
   return data;
 }
@@ -377,24 +352,9 @@ void ThreadProcess::lock(mem::GlobalAddress addr) {
   }
   // Stamped under the user-lock mutex: grant order IS the logged order.
   if (rec != nullptr) rec->record_thread(rank_, record::EventKind::kThreadLock, flat);
-  net::Message request;
-  request.type = net::MsgType::kLockRequest;
-  request.src = rank_;
-  request.dst = addr.rank;
-  request.area = area->id;
-  request.clocks_on_wire = false;
-  account(std::move(request));
-  net::Message grant;
-  grant.type = net::MsgType::kLockGrant;
-  grant.src = addr.rank;
-  grant.dst = rank_;
-  grant.area = area->id;
-  if (world_.config_.lock_clock_handoff) {
-    grant.clock = clock_;
-  } else {
-    grant.clocks_on_wire = false;
-  }
-  account(std::move(grant));
+  account(net::MsgType::kLockRequest, 0, 0);
+  account(net::MsgType::kLockGrant, 0,
+          world_.config_.lock_clock_handoff ? detection_clock_bytes(clock_) : 0);
   world_.replay_advance();
 }
 
@@ -421,13 +381,7 @@ void ThreadProcess::unlock(mem::GlobalAddress addr) {
     }
   }
   user_lock.turn.notify_all();
-  net::Message release;
-  release.type = net::MsgType::kUnlock;
-  release.src = rank_;
-  release.dst = addr.rank;
-  release.area = area->id;
-  release.clocks_on_wire = false;
-  account(std::move(release));
+  account(net::MsgType::kUnlock, 0, 0);
   world_.replay_advance();
 }
 
@@ -442,14 +396,9 @@ void ThreadProcess::signal(Rank to, std::uint64_t tag, std::vector<std::byte> pa
     rec->record_thread(rank_, record::EventKind::kSignal,
                        static_cast<std::uint64_t>(to), tag);
   }
-  net::Message wire;
-  wire.type = net::MsgType::kSignal;
-  wire.src = rank_;
-  wire.dst = to;
-  wire.tag = tag;
-  wire.data.resize(payload.size());
-  wire.clock = clock_;
-  account(std::move(wire));
+  // Signals are the program's own synchronization, not detection metadata:
+  // their clock is charged in every mode, as on the sim NIC.
+  account(net::MsgType::kSignal, payload.size(), clock_.wire_size());
   world_.fabric_.signal(to, tag, net::ThreadSignal{rank_, clock_, std::move(payload)});
   world_.replay_advance();
 }

@@ -247,7 +247,13 @@ class ThreadProcess {
   };
   Resolved resolve(mem::GlobalAddress addr, std::uint32_t len);
   std::uint64_t next_event_id() { return (static_cast<std::uint64_t>(rank_) << 40) | ++ops_; }
-  void account(net::Message m);
+  /// Charges one wire-equivalent message to this rank's fabric shard. The
+  /// message is never built: only its shape (type, payload and clock bytes)
+  /// reaches the ledger.
+  void account(net::MsgType type, std::size_t payload_bytes, std::size_t clock_bytes);
+  /// Wire bytes of a detection clock riding on a message: none at kOff,
+  /// where clocks move out of band (the sim NIC's clocks_on_wire rule).
+  std::size_t detection_clock_bytes(const clocks::VectorClock& clock) const;
   /// Flat area-table index for the recorder / replay gate. Valid only while
   /// a recorder or replay log is attached.
   std::uint64_t recorded_area(Rank home, mem::AreaId area_id) const;

@@ -7,6 +7,7 @@
 #include "net/message.hpp"
 #include "net/sim_fabric.hpp"
 #include "sim/engine.hpp"
+#include "util/rng.hpp"
 
 namespace dsmr::net {
 namespace {
@@ -155,6 +156,56 @@ TEST(TrafficCounters, ClockBytesChargedOnlyWhenOnWire) {
   engine.run();
   EXPECT_GT(clock_wire, 0u);  // the scheduled lambda actually ran.
   EXPECT_EQ(fabric.counters().clock_bytes, clock_wire);
+}
+
+clocks::VectorClock random_clock(util::Rng& rng, std::size_t n) {
+  clocks::VectorClock clock(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    // Mix one-byte and multi-byte LEB128 components.
+    clock[i] = rng.below(2) == 0 ? rng.below(128) : rng.below(std::uint64_t{1} << 40);
+  }
+  return clock;
+}
+
+TEST(TrafficCounters, RecordShapeChargesExactlyWhatRecordCharges) {
+  util::Rng rng(12);
+  TrafficCounters by_message;
+  TrafficCounters by_shape;
+  for (int i = 0; i < 2'000; ++i) {
+    Message m = make_msg(static_cast<MsgType>(rng.below(kMsgTypeCount)), 0, 1,
+                         static_cast<std::size_t>(rng.below(300)));
+    const std::size_t n = static_cast<std::size_t>(rng.below(9));
+    m.clock = random_clock(rng, n);
+    switch (rng.below(4)) {
+      case 0:  // single clock.
+        break;
+      case 1:  // dual-clock reply: W delta-encoded against V.
+        m.clock2 = m.clock;
+        if (n > 0) m.clock2[static_cast<std::size_t>(rng.below(n))] += 1 + rng.below(1'000);
+        break;
+      case 2:  // two unrelated clocks of the same width.
+        m.clock2 = random_clock(rng, n);
+        break;
+      default:  // second clock of a different width: charged plain.
+        m.clock2 = random_clock(rng, n + 1);
+        break;
+    }
+    m.clocks_on_wire = rng.below(4) != 0;
+    by_message.record(m);
+    by_shape.record_shape(m.type, m.data.size(), m.charged_clock_bytes());
+    ASSERT_EQ(by_shape.total_bytes, by_message.total_bytes) << m.describe();
+  }
+  for (std::size_t t = 0; t < kMsgTypeCount; ++t) {
+    const auto type = static_cast<MsgType>(t);
+    EXPECT_EQ(by_shape.messages_by_type.at(type), by_message.messages_by_type.at(type))
+        << to_string(type);
+  }
+  EXPECT_EQ(by_shape.total_messages, by_message.total_messages);
+  EXPECT_EQ(by_shape.total_bytes, by_message.total_bytes);
+  EXPECT_EQ(by_shape.payload_bytes, by_message.payload_bytes);
+  EXPECT_EQ(by_shape.clock_bytes, by_message.clock_bytes);
+  EXPECT_EQ(by_shape.data_path_messages, by_message.data_path_messages);
+  EXPECT_GT(by_message.clock_bytes, 0u);
 }
 
 TEST(Message, DescribeIsHumanReadable) {

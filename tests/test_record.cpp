@@ -222,6 +222,52 @@ TEST(RecordLog, HeaderRangeIsValidated) {
 }
 
 // ---------------------------------------------------------------------------
+// Area index: (home, AreaId) -> flat registration index.
+// ---------------------------------------------------------------------------
+
+TEST(AreaIndex, ManyAreasOnSeveralHomesGetDenseFlatIndicesInAllocationOrder) {
+  // 3 x 10^5 registrations: a scan-based index would be quadratic here.
+  constexpr Rank kHomes = 3;
+  constexpr std::uint32_t kPerHome = 100'000;
+  Recorder recorder(kHomes, Backend::kThread, core::DetectorMode::kDualClock,
+                    /*lock_clock_handoff=*/true, /*acked_puts=*/true);
+  // Interleaved allocation order across homes, as a program allocating one
+  // area per home in turn produces.
+  for (std::uint32_t id = 0; id < kPerHome; ++id) {
+    for (Rank home = 0; home < kHomes; ++home) recorder.register_area(home, id, 64, "a");
+  }
+  const AreaIndex& areas = recorder.areas();
+  EXPECT_EQ(areas.size(), std::size_t{kHomes} * kPerHome);
+  for (std::uint32_t id = 0; id < kPerHome; ++id) {
+    for (Rank home = 0; home < kHomes; ++home) {
+      const std::uint64_t expected = std::uint64_t{id} * kHomes + static_cast<std::uint64_t>(home);
+      ASSERT_EQ(recorder.area_index(home, id), expected) << "home " << home << " id " << id;
+    }
+  }
+  EXPECT_FALSE(areas.contains(0, kPerHome));
+  EXPECT_FALSE(areas.contains(kHomes, 0));
+  EXPECT_FALSE(areas.contains(-1, 0));
+  // The parsed-log rebuild assigns the same indices.
+  recorder.finish({}, /*completed=*/true, {});
+  const AreaIndex rebuilt = make_area_index(recorder.log().areas);
+  EXPECT_EQ(rebuilt.size(), areas.size());
+  EXPECT_EQ(rebuilt.at(2, kPerHome - 1), areas.at(2, kPerHome - 1));
+}
+
+TEST(AreaIndex, DuplicateAndUnknownAreasAreRejected) {
+  AreaIndex areas;
+  EXPECT_EQ(areas.add(0, 0), 0u);
+  EXPECT_EQ(areas.add(1, 0), 1u);
+  EXPECT_EQ(areas.add(0, 1), 2u);
+  EXPECT_DEATH(areas.add(0, 1), "area registered twice");
+  EXPECT_DEATH(areas.add(1, 0), "area registered twice");
+  EXPECT_DEATH(areas.add(1, 5), "out of allocation order");
+  EXPECT_DEATH((void)areas.at(0, 2), "area not registered");
+  EXPECT_DEATH((void)areas.at(2, 0), "area not registered");
+  EXPECT_DEATH((void)areas.at(-1, 0), "area not registered");
+}
+
+// ---------------------------------------------------------------------------
 // Sim recording → fold equivalence.
 // ---------------------------------------------------------------------------
 

@@ -186,9 +186,13 @@ TEST(ThreadBackend, StuckLockWaiterIsReportedNotWedged) {
   const auto area = world.alloc(0, 8, "held");
   world.spawn(0, [area](ThreadProcess& p) {
     p.lock(area);
+    p.signal(1, 98);    // rank 1 queues behind a lock that is already held.
     p.wait_signal(99);  // blocks forever while holding the lock.
   });
-  world.spawn(1, [area](ThreadProcess& p) { p.lock(area); });
+  world.spawn(1, [area](ThreadProcess& p) {
+    p.wait_signal(98);
+    p.lock(area);
+  });
   const auto report = world.run();
   EXPECT_FALSE(report.completed);
   EXPECT_EQ(report.stuck_ranks, (std::vector<Rank>{0, 1}));
@@ -334,6 +338,126 @@ TEST(ThreadBackend, TrafficShardsFoldToExactPerTypeCounts) {
   EXPECT_EQ(report.checks, 4u * (3u + 2u));
   // Payload bytes: 8 per put commit and per get response, charged once.
   EXPECT_EQ(traffic.payload_bytes, (4u * 3u + 4u * 2u) * 8u);
+}
+
+/// Folded ledger of a fixed three-rank program whose ranks run strictly one
+/// after another (each waits for the previous rank's signal), so every
+/// clock, and therefore every charged clock byte, is the same on every run.
+/// Covers put, get, lock, unlock and signal (with and without payload).
+/// Rank 0 first ticks its clock past 127, so a clock that has seen rank 0
+/// charges a two-byte LEB128 component: the pinned byte counts tell which
+/// clock each message carried, not just how many clocks there were.
+net::TrafficCounters serialized_program_ledger(bool acked_puts) {
+  ThreadWorldConfig config = small_world(3);
+  config.acked_puts = acked_puts;
+  ThreadWorld world(config);
+  const auto a = world.alloc(2, 8, "a");
+  const auto b = world.alloc(1, 16, "b");
+  const auto l = world.alloc(0, 8, "l");
+  world.spawn(0, [a, b, l](ThreadProcess& p) {
+    for (int i = 0; i < 200; ++i) p.compute(0);
+    p.put(a, stamp_bytes(1));
+    p.get(b, 16);
+    p.lock(l);
+    p.put(l, stamp_bytes(2));
+    p.unlock(l);
+    p.signal(1, 1, std::vector<std::byte>(4));
+    p.wait_signal(3);
+    p.get(a, 8);
+    p.lock(l);
+    p.unlock(l);
+  });
+  world.spawn(1, [a, b, l](ThreadProcess& p) {
+    p.wait_signal(1);
+    p.get(a, 8);
+    p.put(b, std::vector<std::byte>(16));
+    p.lock(l);
+    p.get(l, 8);
+    p.unlock(l);
+    p.signal(2, 2);
+  });
+  world.spawn(2, [a, b](ThreadProcess& p) {
+    p.wait_signal(2);
+    p.put(a, stamp_bytes(3));
+    p.get(b, 16);
+    p.signal(0, 3, std::vector<std::byte>(2));
+  });
+  const auto report = world.run();
+  EXPECT_TRUE(report.completed);
+  EXPECT_EQ(report.race_count, 0u);
+  return world.traffic();
+}
+
+TEST(ThreadBackend, LedgerOfSerializedProgramIsPinned) {
+  struct Pinned {
+    bool acked_puts;
+    std::uint64_t total_bytes;
+    std::uint64_t clock_bytes;
+  };
+  for (const Pinned& pinned : {Pinned{true, 1395, 93}, Pinned{false, 1381, 79}}) {
+    SCOPED_TRACE(pinned.acked_puts ? "acked" : "unacked");
+    const net::TrafficCounters t = serialized_program_ledger(pinned.acked_puts);
+    EXPECT_EQ(t.messages_by_type.at(net::MsgType::kPutCommit), 4u);
+    EXPECT_EQ(t.messages_by_type.at(net::MsgType::kPutCommitAck), 4u);
+    EXPECT_EQ(t.messages_by_type.at(net::MsgType::kGetLockedRequest), 5u);
+    EXPECT_EQ(t.messages_by_type.at(net::MsgType::kGetLockedResponse), 5u);
+    EXPECT_EQ(t.messages_by_type.at(net::MsgType::kLockRequest), 3u);
+    EXPECT_EQ(t.messages_by_type.at(net::MsgType::kLockGrant), 3u);
+    EXPECT_EQ(t.messages_by_type.at(net::MsgType::kUnlock), 3u);
+    EXPECT_EQ(t.messages_by_type.at(net::MsgType::kSignal), 3u);
+    EXPECT_EQ(t.total_messages, 30u);
+    EXPECT_EQ(t.data_path_messages, 14u);
+    // Puts 8+8+16+8, gets 16+8+8+8+16, signal payloads 4+2.
+    EXPECT_EQ(t.payload_bytes, 102u);
+    EXPECT_EQ(t.clock_bytes, pinned.clock_bytes);
+    EXPECT_EQ(t.total_bytes, pinned.total_bytes);
+    EXPECT_EQ(t.total_bytes, 30u * net::Message::kHeaderBytes + 102u + t.clock_bytes);
+  }
+}
+
+TEST(ThreadBackend, Figure2MessageCountsWithDetectionOff) {
+  // Threaded twin of the sim's Runtime.Figure2MessageCounts: at kOff a put
+  // is one data-path message plus its ack, a get is two, and no detection
+  // clock is charged to the wire. Signals keep theirs: they are the
+  // program's own synchronization.
+  ThreadWorldConfig config = small_world(2);
+  config.mode = core::DetectorMode::kOff;
+  {
+    ThreadWorld world(config);
+    const auto x = world.alloc(1, 8, "x");
+    world.spawn(0, [x](ThreadProcess& p) { p.put(x, stamp_bytes(1)); });
+    ASSERT_TRUE(world.run().completed);
+    const auto traffic = world.traffic();
+    EXPECT_EQ(traffic.total_messages, 2u);      // commit + ack.
+    EXPECT_EQ(traffic.data_path_messages, 1u);  // "put involves one message".
+    EXPECT_EQ(traffic.clock_bytes, 0u);         // detection off: nothing charged.
+  }
+  {
+    ThreadWorld world(config);
+    const auto y = world.alloc(1, 8, "y");
+    world.spawn(0, [y](ThreadProcess& p) { p.get(y, 8); });
+    ASSERT_TRUE(world.run().completed);
+    const auto traffic = world.traffic();
+    EXPECT_EQ(traffic.total_messages, 2u);      // request + response.
+    EXPECT_EQ(traffic.data_path_messages, 2u);  // "get involves two".
+    EXPECT_EQ(traffic.clock_bytes, 0u);
+  }
+  {
+    ThreadWorld world(config);
+    const auto z = world.alloc(1, 8, "z");
+    world.spawn(0, [z](ThreadProcess& p) {
+      p.lock(z);
+      p.unlock(z);
+      p.signal(1, 4);
+    });
+    world.spawn(1, [](ThreadProcess& p) { p.wait_signal(4); });
+    ASSERT_TRUE(world.run().completed);
+    const auto traffic = world.traffic();
+    EXPECT_EQ(traffic.total_messages, 4u);  // lock request + grant, unlock, signal.
+    // Only the signal's clock is on the wire: rank 0 ticked lock, unlock
+    // and signal, so it sends (3, 0) at one LEB128 byte per component.
+    EXPECT_EQ(traffic.clock_bytes, 2u);
+  }
 }
 
 TEST(ThreadBackend, TrafficCountersMergeAddsEveryField) {
