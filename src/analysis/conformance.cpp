@@ -445,7 +445,7 @@ ConformanceReport run_conformance(const Scenario& scenario,
                                        std::string detail) {
     summary.disagreements.push_back(Divergence{scenario.name, run.seed, run.perturb,
                                                run.fault, std::move(check),
-                                               std::move(detail), "", ""});
+                                               std::move(detail), "", "", ""});
   };
   auto split_failed_checks = [&diverge](const RunVerdicts& run) {
     for (const auto& check : run.failed_checks) {

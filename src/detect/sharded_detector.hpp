@@ -23,7 +23,8 @@
 // Concurrency contract: the detector does not lock for you on the per-area
 // fast path. check_one / store_access / the per-area accessors require the
 // caller to hold shard_mutex(id) when other threads may touch that shard
-// (the ThreadWorld path), and need no lock single-threaded (the sim path).
+// (the ThreadWorld path), and need no lock single-threaded (the sim path
+// and record::replay_fold).
 // check_range and store_range acquire each shard's mutex themselves as they
 // walk it.
 //
@@ -154,9 +155,8 @@ class ShardedDetector {
   // ---- storage accounting (CLAIM-V.A1) ----
 
   /// Modeled detection-metadata bytes for one area: both lanes' compact
-  /// clock encodings plus their epoch witnesses — the same formula
-  /// clocks::AdaptiveClock::storage_bytes charged when this state lived in
-  /// mem::Area, so the §V.A accounting is unchanged by the extraction.
+  /// clock encodings plus their valid epoch witnesses — the §V.A storage
+  /// accounting.
   std::size_t area_storage_bytes(AreaId id) const {
     return v_storage_bytes(id) + w_storage_bytes(id);
   }

@@ -18,8 +18,6 @@
 #include "analysis/ground_truth.hpp"
 #include "analysis/seed_sweep.hpp"
 #include "baseline/lockset.hpp"
-#include "clocks/lamport.hpp"
-#include "clocks/matrix_clock.hpp"
 #include "clocks/vector_clock.hpp"
 #include "core/event_log.hpp"
 #include "core/race_report.hpp"

@@ -19,7 +19,7 @@
 // free. docs/testing.md "Exhaustive exploration" spells out the contract.
 //
 // Independence is *finer* than the issue's sketch in one deliberate way:
-// same-area read/read pairs are DEPENDENT. AdaptiveClock::store_event
+// same-area read/read pairs are DEPENDENT. ShardedDetector::store_access
 // overwrites the stored V clock and last_access_rank on every access,
 // reads included, so two reads of one area do not commute in detector
 // state (the final V is the last reader's clock). The property test in

@@ -431,7 +431,7 @@ void Nic::handle_clock_event(const Message& m) {
   // The home-side clock event: receiving the access is an event at the home
   // NIC (tick + merge, the values the paper's Fig. 5 annotates), and the
   // resulting clock is stored as the area's V (and W for writes).
-  clock_.receive_event(m.src, m.clock);
+  clock_.receive_event(m.clock);
   detector_.store_access(m.area, rank_, clock_.vector(), /*is_write=*/m.flag,
                          m.src, m.event_id);
   events_.annotate_apply(m.event_id, clock_.vector());
@@ -507,7 +507,7 @@ void Nic::apply_put(const Message& m) {
       raced = true;
     }
   }
-  clock_.receive_event(m.src, m.clock);
+  clock_.receive_event(m.clock);
   segment_.write_bytes(area.offset + m.offset, m.data);
   detector_.store_access(m.area, rank_, clock_.vector(), /*is_write=*/true, m.src,
                          m.event_id);
@@ -535,7 +535,7 @@ sim::Time Nic::serve_get(const Message& m) {
       raced = true;
     }
   }
-  clock_.receive_event(m.src, m.clock);
+  clock_.receive_event(m.clock);
   detector_.store_access(m.area, rank_, clock_.vector(), /*is_write=*/false, m.src,
                          m.event_id);
   events_.annotate_apply(m.event_id, clock_.vector());

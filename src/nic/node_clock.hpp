@@ -3,12 +3,9 @@
 // Paper §IV.B: "The clock matrix V_{Pi} is maintained by each process Pi ...
 // Before Pi performs an event, it increments its local logical clock
 // V_{Pi}[i,i]." The comparisons of Algorithms 1-3 only consume the matrix's
-// own row — the process's vector clock — so the vector is the hot-path
-// representation here; full matrix tracking (for the knowledge/GC frontier
-// extension) is optional and kept consistent with the vector.
+// own row — the process's vector clock — so that row is all a node keeps.
 #pragma once
 
-#include "clocks/matrix_clock.hpp"
 #include "clocks/vector_clock.hpp"
 #include "util/types.hpp"
 
@@ -16,41 +13,27 @@ namespace dsmr::nic {
 
 class NodeClock {
  public:
-  NodeClock(std::size_t nprocs, Rank self, bool track_matrix)
-      : vector_(nprocs), self_(self), track_matrix_(track_matrix) {
-    if (track_matrix_) matrix_ = clocks::MatrixClock(nprocs, self);
-  }
+  NodeClock(std::size_t nprocs, Rank self) : vector_(nprocs), self_(self) {}
 
   Rank self() const { return self_; }
   const clocks::VectorClock& vector() const { return vector_; }
 
   /// update_local_clock: V[i,i] += 1 before the process performs an event.
-  void tick() {
-    vector_.tick(self_);
-    if (track_matrix_) matrix_.tick();
-  }
+  void tick() { vector_.tick(self_); }
 
-  /// Absorbs knowledge carried by a message from `from` (componentwise max).
-  void merge(Rank from, const clocks::VectorClock& remote) {
-    vector_.merge_from(remote);
-    if (track_matrix_) matrix_.merge_row(from, remote);
-  }
+  /// Absorbs knowledge carried by a message (componentwise max).
+  void merge(const clocks::VectorClock& remote) { vector_.merge_from(remote); }
 
   /// Receive event: tick then merge — the standard vector-clock receive
   /// rule, matching the per-process clock values in the paper's Fig. 5.
-  void receive_event(Rank from, const clocks::VectorClock& remote) {
+  void receive_event(const clocks::VectorClock& remote) {
     tick();
-    merge(from, remote);
+    merge(remote);
   }
-
-  bool tracks_matrix() const { return track_matrix_; }
-  const clocks::MatrixClock& matrix() const { return matrix_; }
 
  private:
   clocks::VectorClock vector_;
-  clocks::MatrixClock matrix_;
   Rank self_;
-  bool track_matrix_;
 };
 
 }  // namespace dsmr::nic

@@ -269,7 +269,7 @@ std::optional<Log> Log::parse(std::span<const std::byte> bytes,
   if (cursor.ok() &&
       (backend > static_cast<std::uint64_t>(Backend::kThread) ||
        mode > static_cast<std::uint64_t>(core::DetectorMode::kDualClock) ||
-       handoff > 1 || acked > 1 || nprocs == 0 || nprocs > (1u << 20))) {
+       handoff > 1 || acked > 1 || nprocs == 0 || nprocs > kMaxLogRanks)) {
     cursor.fail("[bad-field] header out of range (nprocs " +
                 std::to_string(nprocs) + ", backend " +
                 std::to_string(backend) + ", mode " + std::to_string(mode) +

@@ -9,7 +9,7 @@
 // a log captured at `DetectorMode::kOff` replays offline under the full
 // dual-clock detector with exactly the verdicts a live run on that schedule
 // would have produced. Replay folds the event stream through the same
-// `core::check_access` rules and compares against the live verdict footer.
+// `detect::ShardedDetector` and compares against the live verdict footer.
 //
 // Wire layout (all integers LEB128 varints, util/varint.hpp):
 //
@@ -45,6 +45,14 @@ namespace dsmr::record {
 
 inline constexpr char kMagic[8] = {'D', 'S', 'M', 'R', 'L', 'O', 'G', '\0'};
 inline constexpr std::uint64_t kVersion = 1;
+
+/// Largest `nprocs` a log may declare. A log is disk input, and folding it
+/// allocates nprocs rank clocks of nprocs components each before reading a
+/// single event, so an unchecked header lets a few-byte file demand
+/// terabytes. 4096 keeps those n² clocks at 128 MiB. `Log::parse` rejects a
+/// larger header and `Recorder` refuses to record one, so every recordable
+/// run is also parseable.
+inline constexpr std::uint32_t kMaxLogRanks = 4096;
 
 /// Which execution engine produced the log. Event kinds are disjoint per
 /// backend because the two engines have different linearization points

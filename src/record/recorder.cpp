@@ -33,6 +33,8 @@ Recorder::Recorder(std::uint32_t nprocs, Backend backend,
                    core::DetectorMode mode, bool lock_clock_handoff,
                    bool acked_puts) {
   DSMR_REQUIRE(nprocs > 0, "recorder needs at least one process");
+  DSMR_REQUIRE(nprocs <= kMaxLogRanks,
+               "recorder supports at most " << kMaxLogRanks << " processes, got " << nprocs);
   log_.header.nprocs = nprocs;
   log_.header.backend = backend;
   log_.header.mode = mode;

@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <tuple>
 #include <utility>
 
 #include "clocks/epoch.hpp"
 #include "clocks/vector_clock.hpp"
-#include "core/rules.hpp"
+#include "detect/sharded_detector.hpp"
 #include "util/assert.hpp"
 
 namespace dsmr::record {
@@ -17,27 +18,28 @@ namespace {
 
 using clocks::VectorClock;
 
-/// The fold mirrors, field for field, the state the live engines keep:
-/// mem::Area's adaptive V/W clocks + last-initiator ranks, the per-node
-/// NodeClock (one per rank — in the sim a rank's Process and its home NIC
-/// share a clock, which is why puts and gets are split into issue/apply/
-/// completion events), the lock-manager handoff clocks, and the in-flight
-/// ack/response payloads. Identical state + identical check inputs =>
-/// bit-identical verdicts, including the epoch fast-path decisions.
+/// The fold keeps the state the live engines keep: per-area V/W state in one
+/// detect::ShardedDetector per home (the detector the sim NIC and
+/// ThreadWorld drive), the per-node NodeClock (one per rank — in the sim a
+/// rank's Process and its home NIC share a clock, which is why puts and gets
+/// are split into issue/apply/completion events), the lock-manager handoff
+/// clocks, and the in-flight ack/response payloads. Identical state +
+/// identical check inputs => bit-identical verdicts, including the epoch
+/// fast-path decisions.
 struct FoldState {
   struct Area {
     Rank home = kInvalidRank;
+    detect::AreaId id = 0;  ///< per-home id in `detectors[home]`.
     std::string name;
-    clocks::AdaptiveClock v;
-    clocks::AdaptiveClock w;
-    Rank last_access_rank = kInvalidRank;
-    Rank last_write_rank = kInvalidRank;
     VectorClock handoff;
     bool has_handoff = false;
   };
 
   std::vector<VectorClock> clocks;  // per rank
   std::vector<Area> areas;
+  /// One single-shard detector per home that owns an area, null elsewhere.
+  /// The fold is single-threaded, so it never takes the shard lock.
+  std::vector<std::unique_ptr<detect::ShardedDetector>> detectors;
   // In-flight payload clocks keyed by (initiator, area). Each initiator op
   // is a blocking await, so every queue's depth is at most 1; deques keep
   // the fold honest if a malformed log violates that.
@@ -49,6 +51,10 @@ struct FoldState {
   std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>,
            std::deque<VectorClock>>
       signals;
+
+  detect::ShardedDetector& detector(const Area& area) const {
+    return *detectors[static_cast<std::size_t>(area.home)];
+  }
 };
 
 class Folder {
@@ -56,13 +62,23 @@ class Folder {
   Folder(const Log& log, core::DetectorMode mode) : log_(log), mode_(mode) {
     const std::size_t n = log.header.nprocs;
     state_.clocks.assign(n, VectorClock(n));
+    state_.detectors.resize(n);
     state_.areas.reserve(log.areas.size());
     for (const AreaEntry& entry : log.areas) {
+      if (entry.home < 0 || static_cast<std::size_t>(entry.home) >= n) {
+        result_.error = "[bad-trace] area " + std::to_string(state_.areas.size()) +
+                        " home rank " + std::to_string(entry.home) + " out of range";
+        return;
+      }
+      auto& detector = state_.detectors[static_cast<std::size_t>(entry.home)];
+      if (detector == nullptr) {
+        detector = std::make_unique<detect::ShardedDetector>(n, entry.home, /*shards=*/1);
+      }
       FoldState::Area area;
       area.home = entry.home;
+      area.id = static_cast<detect::AreaId>(detector->area_count());
       area.name = entry.name;
-      area.v = clocks::AdaptiveClock(n, entry.home);
-      area.w = clocks::AdaptiveClock(n, entry.home);
+      detector->register_area(area.id);
       state_.areas.push_back(std::move(area));
     }
   }
@@ -126,17 +142,15 @@ class Folder {
     return true;
   }
 
-  /// One access through the real predicate, with exactly the inputs the
+  /// One access through the shared detector, with exactly the inputs the
   /// live engine passes (pre-update stored state, post-tick event clock).
   void check(std::uint64_t area_index, const FoldState::Area& area,
              core::AccessKind kind, Rank accessor,
              const VectorClock& accessor_clock) {
     ++result_.checks;
-    const core::StoredClocks stored{area.v.full(),          area.w.full(),
-                                    area.last_access_rank,  area.last_write_rank,
-                                    area.v.epoch(),         area.w.epoch()};
+    const detect::ShardedDetector& detector = state_.detector(area);
     const core::Verdict verdict =
-        core::check_access(mode_, kind, accessor, accessor_clock, stored);
+        detector.check_one(mode_, kind, accessor, accessor_clock, area.id);
     if (!verdict.race) return;
     core::RaceReport report;
     report.id = result_.reports.size() + 1;
@@ -149,10 +163,16 @@ class Folder {
     report.kind = kind;
     report.accessor_clock = accessor_clock;
     report.against = verdict.against;
-    report.stored_clock = verdict.against == core::ComparedAgainst::kW
-                              ? area.w.full()
-                              : area.v.full();
+    report.stored_clock = detector.prior_clock(area.id, verdict.against);
     result_.reports.push_back(std::move(report));
+  }
+
+  /// Stores one access into the area's V lane (and W for a write). Replay
+  /// never assigns event ids, so every stored event id is 0.
+  void store(const FoldState::Area& area, Rank owner, const VectorClock& clock,
+             bool is_write, Rank accessor) {
+    state_.detector(area).store_access(area.id, owner, clock, is_write, accessor,
+                                       /*event_id=*/0);
   }
 
   void fold(const Event& event) {
@@ -184,10 +204,7 @@ class Folder {
         VectorClock& home_clock = state_.clocks[static_cast<std::size_t>(area->home)];
         home_clock.tick(area->home);
         home_clock.merge_from(issue);
-        area->v.store_event(area->home, home_clock);
-        area->w.store_event(area->home, home_clock);
-        area->last_access_rank = src;
-        area->last_write_rank = src;
+        store(*area, area->home, home_clock, /*is_write=*/true, src);
         if (log_.header.acked_puts) {
           state_.put_ack[{event.a, event.b}].push_back(home_clock);
         }
@@ -205,8 +222,7 @@ class Folder {
         VectorClock& home_clock = state_.clocks[static_cast<std::size_t>(area->home)];
         home_clock.tick(area->home);
         home_clock.merge_from(issue);
-        area->v.store_event(area->home, home_clock);  // reads update V only
-        area->last_access_rank = src;
+        store(*area, area->home, home_clock, /*is_write=*/false, src);
         state_.get_merge[{event.a, event.b}].push_back(home_clock);
         return;
       }
@@ -289,25 +305,22 @@ class Folder {
         FoldState::Area* area = valid_area(event, event.b);
         if (!valid_rank(event, event.a) || area == nullptr) return;
         const auto rank = static_cast<Rank>(event.a);
+        const detect::ShardedDetector& detector = state_.detector(*area);
         VectorClock& clock = state_.clocks[event.a];
         clock.tick(rank);
         if (event.kind == EventKind::kThreadPut) {
           check(event.b, *area, core::AccessKind::kWrite, rank, clock);
           // Completion clock = pre-update V ∨ W, exactly ThreadWorld's
           // acked-put merge source.
-          VectorClock completion = area->v.full();
-          completion.merge_from(area->w.full());
-          area->v.store_event(rank, clock);
-          area->w.store_event(rank, clock);
-          area->last_access_rank = rank;
-          area->last_write_rank = rank;
+          VectorClock completion = detector.v_clock(area->id);
+          completion.merge_from(detector.w_clock(area->id));
+          store(*area, rank, clock, /*is_write=*/true, rank);
           if (log_.header.acked_puts) clock.merge_from(completion);
         } else {
           check(event.b, *area, core::AccessKind::kRead, rank, clock);
-          VectorClock reads_from = area->w.full();
-          area->v.store_event(rank, clock);
-          area->last_access_rank = rank;
-          clock.merge_from(reads_from);
+          // A read stores V only, so W is still the reads-from source.
+          store(*area, rank, clock, /*is_write=*/false, rank);
+          clock.merge_from(detector.w_clock(area->id));
         }
         return;
       }
@@ -349,12 +362,14 @@ class Folder {
     }
     for (std::size_t i = 0; i < state_.areas.size(); ++i) {
       const FoldState::Area& area = state_.areas[i];
+      const detect::ShardedDetector& detector = state_.detector(area);
       out << "a" << i << " " << area.name << " home=" << area.home
-          << " v=" << area.v.full().to_string()
-          << " ve=" << epoch_digest(area.v)
-          << " w=" << area.w.full().to_string()
-          << " we=" << epoch_digest(area.w)
-          << " la=" << area.last_access_rank << " lw=" << area.last_write_rank;
+          << " v=" << detector.v_clock(area.id).to_string()
+          << " ve=" << epoch_digest(detector.v_epoch(area.id))
+          << " w=" << detector.w_clock(area.id).to_string()
+          << " we=" << epoch_digest(detector.w_epoch(area.id))
+          << " la=" << detector.last_access_rank(area.id)
+          << " lw=" << detector.last_write_rank(area.id);
       out << " handoff=";
       if (area.has_handoff) {
         out << area.handoff.to_string();
@@ -386,9 +401,9 @@ class Folder {
   }
 
  private:
-  static std::string epoch_digest(const clocks::AdaptiveClock& clock) {
-    if (!clock.summarized()) return "full";
-    const clocks::Epoch epoch = clock.epoch();
+  /// "rank@value" while the state is epoch-summarized, "full" once not.
+  static std::string epoch_digest(clocks::Epoch epoch) {
+    if (!epoch.valid()) return "full";
     return std::to_string(epoch.rank) + "@" + std::to_string(epoch.value);
   }
 

@@ -1,15 +1,15 @@
 // Replay: re-derive the verdicts of a recorded run from its ordering log.
 //
 // `replay_fold` is the offline detector. It walks the event stream in the
-// recorded total order and reconstructs, step by step, exactly the state the
-// live engines maintain — per-rank vector clocks, per-area adaptive V/W
-// clocks with their epoch witnesses, last-initiator ranks, lock handoff
-// clocks, in-flight ack/response queues — and runs `core::check_access` at
-// each access event. Because clock evolution in the live engines is
-// mode-independent, the fold of a `mode=off` recording under
-// `DetectorMode::kDualClock` yields bit-identical verdicts to a live
-// dual-clock run of the same schedule. That equivalence is the fuzz-grid
-// invariant (`check_record_replay`).
+// recorded total order and rebuilds, step by step, the state the live
+// engines keep — per-rank vector clocks, lock handoff clocks, in-flight
+// ack/response queues — and drives the per-area V/W state through the same
+// `detect::ShardedDetector` the sim NIC and `runtime::ThreadWorld` use:
+// `check_one` at each access event, `store_access` after it. Because clock
+// evolution in the live engines is mode-independent, the fold of a
+// `mode=off` recording under `DetectorMode::kDualClock` yields bit-identical
+// verdicts to a live dual-clock run of the same schedule. That equivalence
+// is the fuzz-grid invariant (`check_record_replay`).
 //
 // `ReplayGate` is the other half of the threaded-backend story: it forces a
 // live `runtime::ThreadWorld` to re-execute its ops in a recorded log's
@@ -42,7 +42,7 @@ struct ReplayResult {
   /// the recording's to report).
   VerdictSignature signature;
   std::vector<core::RaceReport> reports;
-  std::uint64_t checks = 0;   ///< accesses run through check_access.
+  std::uint64_t checks = 0;   ///< accesses run through the detector.
   std::uint64_t events = 0;   ///< events folded.
 };
 

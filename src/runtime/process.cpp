@@ -84,7 +84,7 @@ sim::Future<void> Process::put_bytes(mem::GlobalAddress dst, std::vector<std::by
       world_.recorder()->record(record::EventKind::kPutAck, rank_,
                                 recorded_area(world_, nic(), dst));
     }
-    world_.node_clock(rank_).merge(dst.rank, result.home_clock);
+    world_.node_clock(rank_).merge(result.home_clock);
   }
 }
 
@@ -96,7 +96,7 @@ sim::Future<std::vector<std::byte>> Process::get(mem::GlobalAddress src,
     world_.recorder()->record(record::EventKind::kGetMerge, rank_,
                               recorded_area(world_, nic(), src));
   }
-  world_.node_clock(rank_).merge(src.rank, result.home_clock);
+  world_.node_clock(rank_).merge(result.home_clock);
   co_return result.data;
 }
 
@@ -119,7 +119,7 @@ sim::Future<void> Process::lock(mem::GlobalAddress addr) {
     rec->record(record::EventKind::kLock, rank_, rec->area_index(addr.rank, area->id));
   }
   world_.node_clock(rank_).tick();
-  if (!result.handoff.empty()) world_.node_clock(rank_).merge(addr.rank, result.handoff);
+  if (!result.handoff.empty()) world_.node_clock(rank_).merge(result.handoff);
   held_locks_.insert(identity);
 }
 
@@ -160,7 +160,7 @@ sim::Future<std::vector<std::byte>> Process::wait_signal(std::uint64_t tag) {
                               static_cast<std::uint64_t>(msg.src), tag,
                               msg.clock[static_cast<std::size_t>(msg.src)]);
   }
-  world_.node_clock(rank_).receive_event(msg.src, msg.clock);
+  world_.node_clock(rank_).receive_event(msg.clock);
   co_return msg.data;
 }
 

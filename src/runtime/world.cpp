@@ -14,8 +14,7 @@ World::Node::Node(Rank rank, World& world)
     : segment(rank, world.config_.segment_bytes, static_cast<std::size_t>(world.config_.nprocs)),
       detector(static_cast<std::size_t>(world.config_.nprocs), rank,
                world.config_.detector_shards),
-      clock(static_cast<std::size_t>(world.config_.nprocs), rank,
-            world.config_.track_matrix_clocks),
+      clock(static_cast<std::size_t>(world.config_.nprocs), rank),
       nic(rank, world.engine_, world.fabric_, segment, detector, clock,
           nic::NicConfig{world.config_.mode, world.config_.transport,
                          world.config_.lock_clock_handoff},

@@ -54,7 +54,6 @@ struct WorldConfig {
   /// fault) is the complete replay coordinate.
   net::FaultPlan fault{};
   bool lock_clock_handoff = true;
-  bool track_matrix_clocks = false;
   /// When true (default), a put's completion ack merges the home's clock
   /// into the initiator — puts behave as acknowledged/blocking writes, and
   /// produce-then-notify patterns are causally ordered. When false, puts are
@@ -143,10 +142,6 @@ class World {
   /// clocks. Every event whose issue clock is dominated by the frontier is
   /// causally before *every* future event in the system — the sound pruning
   /// horizon for race-candidate bookkeeping. Monotonically non-decreasing.
-  ///
-  /// With `track_matrix_clocks` enabled, each node can compute its own
-  /// conservative estimate distributively (MatrixClock::gc_frontier), which
-  /// is always dominated by this global value — asserted by tests.
   clocks::VectorClock knowledge_frontier() const;
 
  private:

@@ -178,6 +178,83 @@ TEST(ShardedDetector, StoreRangeMatchesPerAreaStores) {
 }
 
 // ---------------------------------------------------------------------------
+// Per-area epoch summary: fresh state, stores, out-of-range owners, storage
+// ---------------------------------------------------------------------------
+
+struct EpochSummaryCase {
+  const char* name;
+  std::size_t nprocs;
+  Rank home;
+  Rank owner;  ///< the rank the stored event occurred at; may be out of range.
+  bool is_write;
+};
+
+TEST(ShardedDetector, EpochSummaryFollowsEveryStoreTableDriven) {
+  constexpr std::size_t kWide = VectorClock::kInlineCapacity + 2;  // heap clocks.
+  const EpochSummaryCase cases[] = {
+      {"home write", 4, 2, 2, true},
+      {"accessor read", 3, 0, 1, false},
+      {"owner past the clock", 3, 0, 7, true},
+      {"negative owner", 3, 1, -1, false},
+      {"single process", 1, 0, 0, true},
+      {"wide home write", kWide, 3, 3, true},
+      {"wide owner past the clock", kWide, 3, static_cast<Rank>(kWide), true},
+  };
+  for (const EpochSummaryCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    ShardedDetector det(c.nprocs, c.home, /*shards=*/1);
+    det.register_area(0);
+
+    // A fresh area is the zero clock summarized as the home's 0th event.
+    const clocks::Epoch fresh{c.home, 0};
+    EXPECT_EQ(det.v_epoch(0), fresh);
+    EXPECT_EQ(det.w_epoch(0), fresh);
+    EXPECT_TRUE(det.v_clock(0).is_zero());
+    EXPECT_EQ(det.v_clock(0).size(), c.nprocs);
+    EXPECT_EQ(det.v_storage_bytes(0), det.v_clock(0).wire_size() + fresh.wire_size());
+
+    VectorClock event(c.nprocs);
+    for (std::size_t i = 0; i < c.nprocs; ++i) event[i] = static_cast<ClockValue>(i + 2);
+    const Rank accessor = static_cast<Rank>(c.nprocs - 1);
+    det.store_access(0, c.owner, event, c.is_write, accessor, /*event_id=*/5);
+
+    // A store keeps the summary iff the owner names a component of the clock.
+    const bool in_range = c.owner >= 0 && static_cast<std::size_t>(c.owner) < c.nprocs;
+    const clocks::Epoch stored = det.v_epoch(0);
+    EXPECT_EQ(stored.valid(), in_range);
+    if (in_range) {
+      EXPECT_EQ(stored, (clocks::Epoch{c.owner, event[static_cast<std::size_t>(c.owner)]}));
+    }
+    EXPECT_EQ(det.v_clock(0), event);
+    EXPECT_EQ(det.w_epoch(0), c.is_write ? stored : fresh);
+    EXPECT_EQ(det.v_storage_bytes(0),
+              event.wire_size() + (in_range ? stored.wire_size() : 0));
+
+    // Summarized or not, the verdict is the legacy predicate's on the same
+    // state. Rank 0 queries with its next event, once after learning the
+    // stored event and once without, both kinds, every mode.
+    VectorClock after = event;
+    after.tick(0);
+    VectorClock concurrent(c.nprocs);
+    concurrent[0] = event[0] + 1;
+    for (const VectorClock* issue : {&after, &concurrent}) {
+      for (const DetectorMode mode :
+           {DetectorMode::kOff, DetectorMode::kSingleClock, DetectorMode::kDualClock}) {
+        for (const AccessKind kind : {AccessKind::kRead, AccessKind::kWrite}) {
+          const core::StoredClocks state{det.v_clock(0),          det.w_clock(0),
+                                         det.last_access_rank(0), det.last_write_rank(0),
+                                         det.v_epoch(0),          det.w_epoch(0)};
+          EXPECT_EQ(det.check_one(mode, kind, 0, *issue, 0),
+                    core::check_access(mode, kind, 0, *issue, state))
+              << core::to_string(mode) << " " << core::to_string(kind) << " "
+              << issue->to_string();
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Shard-equivalence on fuzzed programs, sim backend: bit-identical races
 // ---------------------------------------------------------------------------
 

@@ -370,7 +370,7 @@ TEST(Collectives, GatherThenScatterRoundTrip) {
   }
 }
 
-// --- knowledge frontier (matrix-clock extension) -----------------------------
+// --- knowledge frontier ----------------------------------------------------
 
 TEST(Frontier, GlobalFrontierIsMonotoneDuringRun) {
   runtime::WorldConfig config = config_for(4);
@@ -429,32 +429,6 @@ TEST(Frontier, EventsBelowFrontierPrecedeAllLaterIssues) {
     for (std::size_t j = events_before; j < events.size(); ++j) {
       EXPECT_TRUE(e.issue_clock.dominated_by(events[j].issue_clock));
     }
-  }
-}
-
-TEST(Frontier, DistributedMatrixEstimateIsSound) {
-  // Each node's matrix-clock frontier never exceeds the true global
-  // frontier (stale knowledge only shrinks the estimate).
-  runtime::WorldConfig config = config_for(4);
-  config.track_matrix_clocks = true;
-  World world(config);
-  const auto x = world.alloc(0, 8, "x");
-  for (Rank r = 0; r < 4; ++r) {
-    world.spawn(r, [x](Process& p) -> sim::Task {
-      pgas::Team team(p);
-      for (int i = 0; i < 4; ++i) {
-        co_await p.put_value(x, static_cast<std::uint64_t>(i));
-        co_await team.barrier();
-      }
-    });
-  }
-  EXPECT_TRUE(world.run().completed);
-  const auto global = world.knowledge_frontier();
-  for (Rank r = 0; r < 4; ++r) {
-    const auto local = world.node_clock(r).matrix().gc_frontier();
-    EXPECT_TRUE(local.dominated_by(global))
-        << "P" << r << " estimate " << local.to_string() << " vs global "
-        << global.to_string();
   }
 }
 

@@ -151,7 +151,9 @@ TEST_P(PropertySweep, P5_TruncationOnlyLosesRacesMonotonically) {
   ASSERT_EQ(sweep.size(), static_cast<std::size_t>(world.nprocs()));
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     EXPECT_EQ(sweep[i].detected + sweep[i].missed, truth.pairs.size());
-    if (i > 0) EXPECT_GE(sweep[i].detected, sweep[i - 1].detected);
+    if (i > 0) {
+      EXPECT_GE(sweep[i].detected, sweep[i - 1].detected);
+    }
   }
   EXPECT_EQ(sweep.back().missed, 0u);  // width n sees everything (§IV.C).
 }

@@ -1,7 +1,7 @@
 // The record/replay subsystem: varint round-trips (the one shared integer
 // wire encoding), log serialize/parse round-trips, structured diagnostics
 // for every corruption mode, and the core equivalence — folding a recorded
-// event stream through core::check_access reproduces the live detector's
+// event stream through the shared detector reproduces the live detector's
 // verdicts bit-identically, including for mode=off recordings folded under
 // full dual-clock detection (the always-on production story).
 #include <gtest/gtest.h>
@@ -219,6 +219,30 @@ TEST(RecordLog, HeaderRangeIsValidated) {
   std::string error;
   EXPECT_FALSE(Log::parse(bytes, &error).has_value());
   EXPECT_TRUE(error.starts_with("[bad-field]")) << error;
+}
+
+TEST(RecordLog, RankCountIsBoundedSoTheFoldStaysSmall) {
+  // A few bytes of header may not make the fold allocate nprocs² clocks:
+  // past the bound (and at 2^20, a 34-byte file) the header is rejected.
+  Log log;
+  log.areas = {{0, 8, "x"}};
+  for (const std::uint32_t nprocs : {kMaxLogRanks + 1, std::uint32_t{1} << 20}) {
+    log.header.nprocs = nprocs;
+    std::string error;
+    EXPECT_FALSE(Log::parse(log.serialize(), &error).has_value()) << nprocs;
+    EXPECT_TRUE(error.starts_with("[bad-field]")) << error;
+  }
+  // At the bound the log parses and folds.
+  log.header.nprocs = kMaxLogRanks;
+  std::string error;
+  const auto parsed = Log::parse(log.serialize(), &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  const ReplayResult folded = replay_fold(*parsed, core::DetectorMode::kDualClock);
+  EXPECT_TRUE(folded.ok()) << folded.error;
+  // Anything recordable is parseable: the recorder enforces the same bound.
+  EXPECT_DEATH(Recorder(kMaxLogRanks + 1, Backend::kSim, core::DetectorMode::kOff,
+                        /*lock_clock_handoff=*/true, /*acked_puts=*/true),
+               "at most 4096");
 }
 
 // ---------------------------------------------------------------------------
@@ -461,6 +485,105 @@ TEST(RecordReplay, BadTraceFailsLoudly) {
   const ReplayResult folded = replay_fold(log, log.header.mode);
   EXPECT_FALSE(folded.ok());
   EXPECT_TRUE(folded.error.starts_with("[bad-trace]")) << folded.error;
+  // So is an area homed outside the process range (a hand-built log; parse
+  // rejects it earlier).
+  log.areas.push_back({5, 8, "stray"});
+  const ReplayResult stray = replay_fold(log, log.header.mode);
+  EXPECT_TRUE(stray.error.starts_with("[bad-trace] area 1 home rank 5")) << stray.error;
+}
+
+// ---------------------------------------------------------------------------
+// Pinned fold state: the complete post-fold detector state of a fixed corpus,
+// hashed per mode. Any change to how the fold evolves clocks, V/W state,
+// epochs, prior ranks, handoffs or in-flight queues moves these hashes.
+// ---------------------------------------------------------------------------
+
+/// A hand-ordered threaded-backend log covering every kThread* kind plus
+/// signal/wait: a lock-ordered put→get pair, a race on each of two areas,
+/// a signal chain, and one signal left undelivered.
+Log pinned_thread_log(bool acked_puts, bool lock_clock_handoff) {
+  Log log;
+  log.header.nprocs = 3;
+  log.header.backend = Backend::kThread;
+  log.header.mode = core::DetectorMode::kOff;
+  log.header.acked_puts = acked_puts;
+  log.header.lock_clock_handoff = lock_clock_handoff;
+  log.areas = {{0, 8, "x"}, {1, 8, "y"}, {2, 8, "z"}};
+  log.events = {
+      {EventKind::kThreadLock, 0, 0},
+      {EventKind::kThreadPut, 0, 0, 8},
+      {EventKind::kThreadUnlock, 0, 0},
+      {EventKind::kSignal, 0, 1, 7},         // rank 0 component 4.
+      {EventKind::kThreadGet, 2, 0, 8},      // unordered with the put.
+      {EventKind::kWaitMatch, 1, 0, 7, 4},
+      {EventKind::kThreadLock, 1, 0},
+      {EventKind::kThreadGet, 1, 0, 8},
+      {EventKind::kThreadPut, 1, 1, 8},
+      {EventKind::kThreadUnlock, 1, 0},
+      {EventKind::kThreadPut, 2, 1, 8},      // races rank 1's put.
+      {EventKind::kSignal, 1, 2, 3},         // rank 1 component 6.
+      {EventKind::kWaitMatch, 2, 1, 3, 6},
+      {EventKind::kThreadGet, 2, 1, 8},
+      {EventKind::kThreadPut, 0, 2, 8},
+      {EventKind::kThreadGet, 1, 2, 8},
+      {EventKind::kSignal, 2, 0, 5},         // never consumed.
+  };
+  return log;
+}
+
+std::vector<Log> pinned_fold_corpus() {
+  std::vector<Log> corpus;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    fuzz::GenConfig gen;
+    gen.seed = seed;
+    gen.plant_bug = seed % 2 == 0;
+    gen.nprocs = 3 + static_cast<int>(seed % 3);
+    gen.areas = gen.nprocs + 2;
+    gen.phases = 2;
+    gen.max_ops_per_rank = 4;
+    const auto program =
+        std::make_shared<const fuzz::Program>(fuzz::generate_program(gen));
+    // Acked puts, unacked puts, handoff off, and a detector-off recording.
+    for (int variant = 0; variant < 4; ++variant) {
+      WorldConfig config = sim_config(program->nprocs, core::DetectorMode::kDualClock);
+      config.seed = seed;
+      config.perturb = sim::PerturbConfig{0, 3'000, seed + 17};
+      if (variant == 1) config.acked_puts = false;
+      if (variant == 2) config.lock_clock_handoff = false;
+      if (variant == 3) config.mode = core::DetectorMode::kOff;
+      corpus.push_back(record_sim(config, [&](World& world) {
+        fuzz::spawn_program(world, program);
+      }));
+    }
+  }
+  corpus.push_back(pinned_thread_log(/*acked_puts=*/true, /*lock_clock_handoff=*/true));
+  corpus.push_back(pinned_thread_log(/*acked_puts=*/false, /*lock_clock_handoff=*/false));
+  return corpus;
+}
+
+TEST(FoldDigest, PinnedOverAFixedCorpusAtEveryMode) {
+  const std::vector<Log> corpus = pinned_fold_corpus();
+  const std::pair<core::DetectorMode, std::uint64_t> pinned[] = {
+      {core::DetectorMode::kOff, 0xcd49e9dbe8b081b3ull},
+      {core::DetectorMode::kSingleClock, 0x59df1391fb9a39f7ull},
+      {core::DetectorMode::kDualClock, 0x08f1c73cd57392d9ull},
+  };
+  for (const auto& [mode, expected] : pinned) {
+    std::string all;
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+      const std::string digest = replay_state_digest(corpus[i], mode);
+      ASSERT_FALSE(digest.starts_with("[bad-trace]")) << "log " << i << ": " << digest;
+      all += digest;
+      all += '\x1e';
+    }
+    const std::uint64_t hash =
+        fnv1a(std::as_bytes(std::span<const char>(all.data(), all.size())));
+    EXPECT_EQ(hash, expected) << "mode " << core::to_string(mode) << " digest hash 0x"
+                              << std::hex << hash;
+  }
+  // The corpus actually exercises races at full detection.
+  EXPECT_NE(replay_state_digest(corpus.back(), core::DetectorMode::kDualClock).find("race "),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
