@@ -1,22 +1,27 @@
 #include "mem/public_segment.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/assert.hpp"
 
 namespace dsmr::mem {
 
 PublicSegment::PublicSegment(Rank home, std::uint32_t size, std::size_t nprocs)
-    : home_(home), nprocs_(nprocs), bytes_(size) {
+    : home_(home), capacity_(size), nprocs_(nprocs) {
   DSMR_REQUIRE(nprocs > 0, "segment needs a positive process count");
+  bytes_.reserve(size);
 }
 
 AreaId PublicSegment::register_area(std::uint32_t offset, std::uint32_t size,
                                     std::string name) {
   DSMR_REQUIRE(size > 0, "area '" << name << "' must have positive size");
-  DSMR_REQUIRE(offset + size <= bytes_.size(),
-               "area '" << name << "' [" << offset << "," << offset + size
-                        << ") exceeds segment of " << bytes_.size() << " bytes");
+  // 64-bit end: `offset + size` in 32 bits wraps past 4 GiB and would pass
+  // the capacity check with a bogus, inverted range.
+  const std::uint64_t end = std::uint64_t{offset} + size;
+  DSMR_REQUIRE(end <= capacity_, "area '" << name << "' [" << offset << "," << end
+                                          << ") exceeds segment of " << capacity_
+                                          << " bytes");
   // Overlap check against neighbours in the sorted prefix, then against
   // every entry of the (bounded) unsorted tail. Rejection stays immediate —
   // an overlapping registration must die here, not at some later flush.
@@ -24,7 +29,7 @@ AreaId PublicSegment::register_area(std::uint32_t offset, std::uint32_t size,
       by_offset_.begin(), by_offset_.end(), offset,
       [](const IndexEntry& e, std::uint32_t o) { return e.offset < o; });
   if (next != by_offset_.end()) {
-    DSMR_REQUIRE(offset + size <= areas_[next->id].offset,
+    DSMR_REQUIRE(end <= areas_[next->id].offset,
                  "area '" << name << "' overlaps area '" << areas_[next->id].name << "'");
   }
   if (next != by_offset_.begin()) {
@@ -34,7 +39,7 @@ AreaId PublicSegment::register_area(std::uint32_t offset, std::uint32_t size,
   }
   for (const IndexEntry& entry : tail_) {
     const Area& other = areas_[entry.id];
-    DSMR_REQUIRE(offset + size <= other.offset || other.end() <= offset,
+    DSMR_REQUIRE(end <= other.offset || other.end() <= offset,
                  "area '" << name << "' overlaps area '" << other.name << "'");
   }
 
@@ -53,7 +58,10 @@ AreaId PublicSegment::register_area(std::uint32_t offset, std::uint32_t size,
     tail_.push_back(IndexEntry{offset, id});
     if (tail_.size() >= kMaxTail) flush_tail();
   }
-  bump_ = std::max(bump_, offset + size);
+  // Zero-extend the backing to cover the new area. The resize stays inside
+  // the capacity reserved at construction, so the bytes never move.
+  if (end > bytes_.size()) bytes_.resize(end);
+  bump_ = std::max(bump_, static_cast<std::uint32_t>(end));
   return id;
 }
 
@@ -84,28 +92,32 @@ const Area& PublicSegment::area(AreaId id) const {
 }
 
 Area* PublicSegment::find_area(std::uint32_t offset, std::uint32_t len) {
+  const std::uint64_t end = std::uint64_t{offset} + len;
   const auto it = std::upper_bound(
       by_offset_.begin(), by_offset_.end(), offset,
       [](std::uint32_t o, const IndexEntry& e) { return o < e.offset; });
   if (it != by_offset_.begin()) {
     Area& candidate = areas_[std::prev(it)->id];
-    if (offset >= candidate.offset && offset + len <= candidate.end()) return &candidate;
+    if (offset >= candidate.offset && end <= candidate.end()) return &candidate;
   }
   for (const IndexEntry& entry : tail_) {
     Area& candidate = areas_[entry.id];
-    if (offset >= candidate.offset && offset + len <= candidate.end()) return &candidate;
+    if (offset >= candidate.offset && end <= candidate.end()) return &candidate;
   }
   return nullptr;
 }
 
 std::span<std::byte> PublicSegment::bytes(std::uint32_t offset, std::uint32_t len) {
-  DSMR_REQUIRE(offset + len <= bytes_.size(), "byte range out of segment bounds");
-  return {bytes_.data() + offset, len};
+  const auto range = std::as_const(*this).bytes(offset, len);
+  return {const_cast<std::byte*>(range.data()), range.size()};
 }
 
 std::span<const std::byte> PublicSegment::bytes(std::uint32_t offset,
                                                 std::uint32_t len) const {
-  DSMR_REQUIRE(offset + len <= bytes_.size(), "byte range out of segment bounds");
+  DSMR_REQUIRE(std::uint64_t{offset} + len <= bytes_.size(),
+               "byte range [" << offset << "," << std::uint64_t{offset} + len
+                              << ") outside the registered extent of " << bytes_.size()
+                              << " bytes");
   return {bytes_.data() + offset, len};
 }
 

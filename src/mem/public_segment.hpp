@@ -10,6 +10,16 @@
 // assigns; the two registries grow in lockstep through the runtime's alloc
 // paths.
 //
+// Backing memory follows registration. Only registered areas are remotely
+// accessible, so bytes outside every area are never read by any protocol.
+// The segment reserves its declared capacity once at construction, without
+// touching or zeroing it, and never reallocates: `data()` and every span
+// handed out stay valid for the segment's lifetime. `register_area`
+// zero-extends the backing up to the end of the highest registered area
+// (the *materialized extent*, `resident_bytes()`), and raw byte access is
+// bounds-checked against that extent. A world with 1 MiB segments and a
+// few 8-byte areas therefore zero-fills a few bytes, not 1 MiB per rank.
+//
 // Area lookup is the single hottest metadata operation (every one-sided
 // access resolves its target area), so the index is a sorted vector probed
 // by binary search — with *amortized* insertion: bump-allocated areas (the
@@ -46,15 +56,20 @@ struct Area {
 class PublicSegment {
  public:
   /// A segment of `size` bytes on `home`, in a system of `nprocs` processes
-  /// (clock width).
+  /// (clock width). Reserves `size` bytes of backing; materializes none.
   PublicSegment(Rank home, std::uint32_t size, std::size_t nprocs);
 
   Rank home() const { return home_; }
-  std::uint32_t size() const { return static_cast<std::uint32_t>(bytes_.size()); }
+  /// The declared capacity: registrations must fit inside it.
+  std::uint32_t size() const { return capacity_; }
   std::size_t nprocs() const { return nprocs_; }
+  /// Bytes of backing materialized so far: the end of the highest
+  /// registered area. Byte access is bounded by this, not by `size()`.
+  std::size_t resident_bytes() const { return bytes_.size(); }
 
   /// Registers [offset, offset+size) as a shared area. Areas must not
-  /// overlap: an area is the unit of locking and of race detection.
+  /// overlap: an area is the unit of locking and of race detection. Newly
+  /// materialized backing reads zero.
   AreaId register_area(std::uint32_t offset, std::uint32_t size, std::string name);
 
   /// Registers the next free region (bump allocation); the common path used
@@ -72,7 +87,7 @@ class PublicSegment {
   /// to call concurrently once registrations have quiesced.
   Area* find_area(std::uint32_t offset, std::uint32_t len);
 
-  /// Raw byte access (bounds-checked).
+  /// Raw byte access, bounds-checked against the materialized extent.
   std::span<std::byte> bytes(std::uint32_t offset, std::uint32_t len);
   std::span<const std::byte> bytes(std::uint32_t offset, std::uint32_t len) const;
 
@@ -93,7 +108,10 @@ class PublicSegment {
   void flush_tail();
 
   Rank home_;
+  std::uint32_t capacity_;
   std::size_t nprocs_;
+  /// Capacity reserved at construction, size = materialized extent: growth
+  /// stays inside the reservation, so it never moves the bytes.
   std::vector<std::byte> bytes_;
   std::deque<Area> areas_;              ///< deque: stable Area* across growth.
   std::vector<IndexEntry> by_offset_;   ///< sorted prefix; binary-searched.

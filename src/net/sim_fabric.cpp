@@ -36,7 +36,8 @@ SimFabric::SimFabric(sim::Engine& engine, int nranks, LatencyModel model,
       perturb_(perturb, seed, /*stream=*/0),
       fault_(std::move(fault)),
       fault_rng_(fault_stream_seed(seed, fault_.salt)),
-      handlers_(static_cast<std::size_t>(nranks)) {
+      handlers_(static_cast<std::size_t>(nranks)),
+      channel_next_(static_cast<std::size_t>(nranks) * static_cast<std::size_t>(nranks)) {
   DSMR_REQUIRE(nranks > 0, "fabric needs at least one rank");
 }
 
@@ -58,16 +59,13 @@ sim::Time SimFabric::send(Message m) {
   // never violate the model's per-channel FIFO guarantee.
   const sim::Time cost =
       model_.cost(m.wire_size(), m.src == m.dst, rng_) + perturb_.skew();
-  const auto key = std::make_pair(m.src, m.dst);
-  sim::Time deliver_at = engine_.now() + cost;
   // FIFO per ordered pair: never deliver before an earlier message on the
   // same channel. Strictly-after (+1ns) keeps same-channel deliveries at
   // distinct times, which makes traces easier to read.
-  const auto it = channel_front_.find(key);
-  if (it != channel_front_.end() && deliver_at <= it->second) {
-    deliver_at = it->second + 1;
-  }
-  channel_front_[key] = deliver_at;
+  sim::Time& next = channel_next_[static_cast<std::size_t>(m.src) * handlers_.size() +
+                                  static_cast<std::size_t>(m.dst)];
+  const sim::Time deliver_at = std::max(engine_.now() + cost, next);
+  next = deliver_at + 1;
 
   if (tap_) tap_(engine_.now(), deliver_at, m);
 
@@ -84,7 +82,7 @@ sim::Time SimFabric::send(Message m) {
   // The returned time models the first transmission's occupancy (Fig. 3);
   // if a fault swallows that attempt, the actual delivery happens on a
   // retransmission.
-  auto& sender = senders_[key];
+  auto& sender = senders_[std::make_pair(m.src, m.dst)];
   m.transport_seq = sender.assign_seq();
   launch(m, 1, deliver_at);
   sender.register_send(std::move(m), engine_.now());

@@ -111,11 +111,12 @@ class SimFabric final : public Fabric {
   /// perturbation streams — (seed, perturb, fault) is the replay coordinate.
   util::Rng fault_rng_;
   std::vector<Handler> handlers_;
-  /// Per ordered (src,dst) pair: the latest scheduled delivery time, used to
-  /// enforce FIFO even when jitter would reorder two back-to-back sends.
-  /// Only original transmissions update it; retransmissions bypass it (the
-  /// receiver window restores ordering).
-  std::map<LinkKey, sim::Time> channel_front_;
+  /// Per ordered (src,dst) pair, flat at [src * nranks + dst]: the earliest
+  /// time the channel's next original transmission may be delivered (one
+  /// past the latest scheduled delivery; 0 before the first send). Enforces
+  /// FIFO even when jitter would reorder two back-to-back sends.
+  /// Retransmissions bypass it (the receiver window restores ordering).
+  std::vector<sim::Time> channel_next_;
   std::map<LinkKey, SenderWindow> senders_;
   std::map<LinkKey, ReceiverWindow> receivers_;
   TrafficCounters counters_;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace dsmr::nic {
 

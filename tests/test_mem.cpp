@@ -226,6 +226,73 @@ TEST(PublicSegmentDeath, OverlapWithUnflushedTailIsRejected) {
   EXPECT_DEATH(seg.register_area(16, 32, "hits-tail"), "overlaps");
 }
 
+TEST(PublicSegmentDeath, BoundsArithmeticDoesNotWrapAt32Bits) {
+  // offset + len near 2^32 must not wrap to a small value and pass a check.
+  PublicSegment seg(0, 1 << 20, 2);
+  seg.register_area(0, 64, "a");
+  EXPECT_EQ(seg.find_area(16, 0xFFFFFFF8u), nullptr);
+  EXPECT_DEATH(seg.read_bytes(16, 0xFFFFFFF8u), "outside the registered extent");
+  EXPECT_DEATH(seg.bytes(16, 0xFFFFFFF8u), "outside the registered extent");
+
+  PublicSegment bumped(0, 1 << 20, 2);
+  bumped.allocate_area(1000, "first");
+  EXPECT_DEATH(bumped.allocate_area(0xFFFFFFFFu, "huge"), "exceeds");
+  EXPECT_DEATH(bumped.register_area(0xFFFFFF00u, 0x200, "wraps"), "exceeds");
+}
+
+TEST(PublicSegment, FreshlyRegisteredBytesReadZero) {
+  PublicSegment seg(0, 4096, 2);
+  seg.register_area(0, 64, "first");
+  EXPECT_EQ(seg.read_bytes(0, 64), std::vector<std::byte>(64));
+  seg.write_bytes(0, std::vector<std::byte>(64, std::byte{0xAB}));
+  // A later area — adjacent, and one past a gap — materializes as zeros and
+  // leaves the earlier area's bytes alone.
+  seg.register_area(64, 32, "adjacent");
+  seg.register_area(1024, 16, "past-gap");
+  EXPECT_EQ(seg.read_bytes(64, 32), std::vector<std::byte>(32));
+  EXPECT_EQ(seg.read_bytes(1024, 16), std::vector<std::byte>(16));
+  EXPECT_EQ(seg.read_bytes(0, 64), std::vector<std::byte>(64, std::byte{0xAB}));
+}
+
+TEST(PublicSegment, SpansSurviveLaterRegistrations) {
+  // The backing is reserved up front and only grows in place, so a span
+  // taken early still addresses the same bytes after the extent grows.
+  PublicSegment seg(0, 1 << 20, 2);
+  seg.register_area(0, 8, "early");
+  const std::span<std::byte> early = seg.bytes(0, 8);
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    seg.allocate_area(512, "later" + std::to_string(i));
+  }
+  early[3] = std::byte{0x5A};
+  EXPECT_EQ(seg.bytes(0, 8).data(), early.data());
+  EXPECT_EQ(seg.read_bytes(3, 1)[0], std::byte{0x5A});
+}
+
+TEST(PublicSegmentDeath, AccessPastTheRegisteredExtentIsRejected) {
+  PublicSegment seg(0, 1024, 2);
+  seg.register_area(0, 64, "a");
+  EXPECT_EQ(seg.resident_bytes(), 64u);
+  EXPECT_EQ(seg.read_bytes(56, 8).size(), 8u);  // last registered bytes.
+  // Inside the declared capacity, but past the highest registered area.
+  EXPECT_DEATH(seg.read_bytes(60, 8), "outside the registered extent");
+  EXPECT_DEATH(seg.write_bytes(64, std::vector<std::byte>(1)),
+               "outside the registered extent");
+}
+
+TEST(PublicSegment, WorldMaterializesOnlyTheRegisteredExtent) {
+  runtime::WorldConfig config;
+  config.nprocs = 4;
+  runtime::World world(config);
+  ASSERT_EQ(world.segment(0).size(), 1u << 20);
+  world.alloc(0, 8, "x");
+  world.alloc(0, 8, "y");
+  world.alloc(2, 8, "z");
+  EXPECT_EQ(world.segment(0).resident_bytes(), 16u);
+  EXPECT_EQ(world.segment(1).resident_bytes(), 0u);
+  EXPECT_EQ(world.segment(2).resident_bytes(), 8u);
+  EXPECT_EQ(world.segment(0).size(), 1u << 20);
+}
+
 TEST(GlobalAddress, PlusAndToString) {
   const GlobalAddress addr{3, 100};
   EXPECT_EQ(addr.plus(28).offset, 128u);
