@@ -78,6 +78,7 @@ class ShardedDetector {
   ShardedDetector& operator=(const ShardedDetector&) = delete;
 
   std::size_t nprocs() const { return nprocs_; }
+  Rank home() const { return home_; }
   int shards() const { return static_cast<int>(shards_.size()); }
   std::size_t area_count() const { return areas_; }
 

@@ -30,7 +30,6 @@
 #include "net/sim_fabric.hpp"
 #include "nic/lock_manager.hpp"
 #include "nic/nic.hpp"
-#include "nic/node_clock.hpp"
 #include "pgas/collectives.hpp"
 #include "pgas/distribution.hpp"
 #include "pgas/shared_array.hpp"

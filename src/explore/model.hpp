@@ -9,14 +9,13 @@
 // witness that replays byte-for-byte through dsmr_replay AND back onto
 // real OS threads via ReplayGate.
 //
-// Why the thread model and not gated sim execution (the issue sketches
-// "over the sim engine"): the sim fabric merges the initiator's clock into
-// the HOME rank's node clock on every kPutApply/kGetApply, so two accesses
-// to *different* areas with the same home do not commute there — the
-// issue's prescribed independence relation (disjoint areas commute) is
-// simply false in the sim model, and DPOR built on it would be unsound.
-// In the thread model the relation holds, and the witness story comes for
-// free. docs/testing.md "Exhaustive exploration" spells out the contract.
+// Why the thread model and not gated sim execution: the two differ only in
+// detect::Placement (detect/semantics.hpp). The sim applies accesses at
+// kHome, where disjoint-area accesses with the same home do not commute,
+// so DPOR built on "disjoint areas commute" would be unsound there; at
+// kInitiator the relation holds (tests/test_detect.cpp pins both), and the
+// witness story comes for free. docs/testing.md "Exhaustive exploration"
+// spells out the contract.
 //
 // Independence is *finer* than the issue's sketch in one deliberate way:
 // same-area read/read pairs are DEPENDENT. ShardedDetector::store_access

@@ -595,6 +595,15 @@ BugKind kind_for_seed(std::uint64_t program_seed, const std::vector<BugKind>& ki
   return kinds[hash % kinds.size()];
 }
 
+GenConfig gen_for_seed(const GenConfig& base, std::uint64_t program_seed,
+                       double planted_fraction, const std::vector<BugKind>& kinds) {
+  GenConfig gen = base;
+  gen.seed = program_seed;
+  gen.plant_bug = !kinds.empty() && plant_for_seed(program_seed, planted_fraction);
+  if (gen.plant_bug) gen.bug_kind = kind_for_seed(program_seed, kinds);
+  return gen;
+}
+
 namespace {
 
 /// One scheduled generation: everything a pool worker needs.
@@ -775,13 +784,8 @@ FuzzSweepResult run_fuzz_sweep(const FuzzSweepConfig& config) {
         pool.submit([offset, &config, &result] {
           Draw draw;
           draw.program_seed = config.seeds.first + offset;
-          draw.gen = config.base;
-          draw.gen.seed = draw.program_seed;
-          draw.gen.plant_bug = !config.bug_kinds.empty() &&
-                               plant_for_seed(draw.program_seed, config.planted_fraction);
-          if (draw.gen.plant_bug) {
-            draw.gen.bug_kind = kind_for_seed(draw.program_seed, config.bug_kinds);
-          }
+          draw.gen = gen_for_seed(config.base, draw.program_seed, config.planted_fraction,
+                                  config.bug_kinds);
           draw.arm = config.profile + "/" +
                      (draw.gen.plant_bug ? to_string(draw.gen.bug_kind) : "clean");
           result.outcomes[offset] =

@@ -354,6 +354,11 @@ struct FuzzSweepResult {
 bool plant_for_seed(std::uint64_t program_seed, double planted_fraction);
 /// Deterministic kind pick among `kinds` for a planted seed.
 BugKind kind_for_seed(std::uint64_t program_seed, const std::vector<BugKind>& kinds);
+/// The uniform seed → generator mapping every sweep shares: `base` at
+/// `program_seed`, planted per plant_for_seed (never with no `kinds`) with
+/// the kind_for_seed kind.
+GenConfig gen_for_seed(const GenConfig& base, std::uint64_t program_seed,
+                       double planted_fraction, const std::vector<BugKind>& kinds);
 
 /// Runs the sweep: generates programs per the schedule mode, checks each
 /// across the grid on `threads` pool workers, folds outcomes and coverage

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "detect/semantics.hpp"
 #include "util/assert.hpp"
 
 namespace dsmr::nic {
@@ -29,7 +30,7 @@ core::StoredClocks stored_from(const Message& m, Rank home) {
 }  // namespace
 
 Nic::Nic(Rank rank, sim::Engine& engine, net::Fabric& fabric, mem::PublicSegment& segment,
-         detect::ShardedDetector& detector, NodeClock& clock, NicConfig config,
+         detect::ShardedDetector& detector, clocks::VectorClock& clock, NicConfig config,
          core::RaceLog& races, core::EventLog& events)
     : rank_(rank),
       engine_(engine),
@@ -428,15 +429,15 @@ void Nic::handle_clock_fetch(const Message& m) {
 
 void Nic::handle_clock_event(const Message& m) {
   // The home-side clock event: receiving the access is an event at the home
-  // NIC (tick + merge, the values the paper's Fig. 5 annotates), and the
-  // resulting clock is stored as the area's V (and W for writes).
-  clock_.receive_event(m.clock);
-  detector_.store_access(m.area, rank_, clock_.vector(), /*is_write=*/m.flag,
-                         m.src, m.event_id);
-  events_.annotate_apply(m.event_id, clock_.vector());
+  // NIC (the values the paper's Fig. 5 annotates), stored as the area's V
+  // (and W for writes).
+  detect::apply_access(detect::Placement::kHome, detector_, m.area,
+                       m.flag ? AccessKind::kWrite : AccessKind::kRead, m.src, m.clock,
+                       m.event_id, clock_, /*wants_completion=*/true);
+  events_.annotate_apply(m.event_id, clock_);
   Message ack;
   ack.type = MsgType::kClockEventAck;
-  ack.clock = clock_.vector();
+  ack.clock = clock_;
   reply(m, std::move(ack));
 }
 
@@ -489,65 +490,53 @@ void Nic::handle_get_locked(const Message& m) {
   });
 }
 
-void Nic::apply_put(const Message& m) {
-  mem::Area& area = segment_.area(m.area);
-  // The whole apply is one atomic home-side event — check, receive_event,
-  // store, ack — so one recorded event covers it.
+bool Nic::home_apply(const Message& m, AccessKind kind) {
+  // One atomic home-side event — check, receive event, store — so one
+  // recorded event covers it.
+  const bool write = kind == AccessKind::kWrite;
   if (recorder_ != nullptr) {
-    recorder_->record(record::EventKind::kPutApply, m.src,
-                      recorder_->area_index(rank_, m.area), m.data.size());
+    recorder_->record(write ? record::EventKind::kPutApply : record::EventKind::kGetApply,
+                      m.src, recorder_->area_index(rank_, m.area),
+                      write ? m.data.size() : m.length);
   }
   bool raced = false;
   if (m.flag && config_.mode != DetectorMode::kOff) {
-    const auto verdict =
-        detector_.check_one(config_.mode, AccessKind::kWrite, m.src, m.clock, m.area);
+    const auto verdict = detector_.check_one(config_.mode, kind, m.src, m.clock, m.area);
     if (verdict.race) {
-      record_home_report(AccessKind::kWrite, m, area, verdict);
+      core::RaceReport report =
+          detect::home_report(detector_, m.area, kind, m.src, m.clock, verdict);
+      report.time = engine_.now();
+      report.area_name = segment_.area(m.area).name;
+      report.event_id = m.event_id;
+      races_.record(std::move(report));
       raced = true;
     }
   }
-  clock_.receive_event(m.clock);
-  segment_.write_bytes(area.offset + m.offset, m.data);
-  detector_.store_access(m.area, rank_, clock_.vector(), /*is_write=*/true, m.src,
-                         m.event_id);
-  events_.annotate_apply(m.event_id, clock_.vector());
+  detect::apply_access(detect::Placement::kHome, detector_, m.area, kind, m.src, m.clock,
+                       m.event_id, clock_, /*wants_completion=*/true);
+  events_.annotate_apply(m.event_id, clock_);
+  return raced;
+}
 
+void Nic::apply_put(const Message& m) {
   Message ack;
   ack.type = MsgType::kPutCommitAck;
-  ack.clock = clock_.vector();
-  ack.flag = raced;
+  ack.flag = home_apply(m, AccessKind::kWrite);
+  segment_.write_bytes(segment_.area(m.area).offset + m.offset, m.data);
+  ack.clock = clock_;
   reply(m, std::move(ack));
 }
 
 sim::Time Nic::serve_get(const Message& m) {
-  mem::Area& area = segment_.area(m.area);
-  if (recorder_ != nullptr) {
-    recorder_->record(record::EventKind::kGetApply, m.src,
-                      recorder_->area_index(rank_, m.area), m.length);
-  }
-  bool raced = false;
-  if (m.flag && config_.mode != DetectorMode::kOff) {
-    const auto verdict =
-        detector_.check_one(config_.mode, AccessKind::kRead, m.src, m.clock, m.area);
-    if (verdict.race) {
-      record_home_report(AccessKind::kRead, m, area, verdict);
-      raced = true;
-    }
-  }
-  clock_.receive_event(m.clock);
-  detector_.store_access(m.area, rank_, clock_.vector(), /*is_write=*/false, m.src,
-                         m.event_id);
-  events_.annotate_apply(m.event_id, clock_.vector());
-
   Message resp;
   resp.type = MsgType::kGetLockedResponse;
   resp.src = rank_;
   resp.dst = m.src;
   resp.op_id = m.op_id;
   resp.area = m.area;
-  resp.data = segment_.read_bytes(area.offset + m.offset, m.length);
-  resp.clock = clock_.vector();
-  resp.flag = raced;
+  resp.flag = home_apply(m, AccessKind::kRead);
+  resp.data = segment_.read_bytes(segment_.area(m.area).offset + m.offset, m.length);
+  resp.clock = clock_;
   resp.clocks_on_wire = config_.mode != DetectorMode::kOff;
   return fabric_.send(std::move(resp));
 }
@@ -555,23 +544,6 @@ sim::Time Nic::serve_get(const Message& m) {
 // ---------------------------------------------------------------------------
 // Race reporting.
 // ---------------------------------------------------------------------------
-
-void Nic::record_home_report(AccessKind kind, const Message& m, const mem::Area& area,
-                             const core::Verdict& verdict) {
-  core::RaceReport report;
-  report.time = engine_.now();
-  report.home = rank_;
-  report.area = area.id;
-  report.area_name = area.name;
-  report.accessor = m.src;
-  report.kind = kind;
-  report.event_id = m.event_id;
-  report.accessor_clock = m.clock;
-  report.against = verdict.against;
-  report.stored_clock = detector_.prior_clock(area.id, verdict.against);
-  report.prior_event_id = detector_.prior_event(area.id, verdict.against);
-  races_.record(std::move(report));
-}
 
 void Nic::record_initiator_report(AccessKind kind, Rank home, const mem::Area& area,
                                   const OpContext& ctx, const Message& clock_resp,

@@ -47,7 +47,6 @@
 #include "mem/public_segment.hpp"
 #include "net/fabric.hpp"
 #include "nic/lock_manager.hpp"
-#include "nic/node_clock.hpp"
 #include "record/recorder.hpp"
 #include "sim/engine.hpp"
 #include "sim/future.hpp"
@@ -88,14 +87,16 @@ struct UserLockResult {
 class Nic {
  public:
   Nic(Rank rank, sim::Engine& engine, net::Fabric& fabric, mem::PublicSegment& segment,
-      detect::ShardedDetector& detector, NodeClock& clock, NicConfig config,
+      detect::ShardedDetector& detector, clocks::VectorClock& clock, NicConfig config,
       core::RaceLog& races, core::EventLog& events);
 
   Nic(const Nic&) = delete;
   Nic& operator=(const Nic&) = delete;
 
   Rank rank() const { return rank_; }
-  NodeClock& node_clock() { return clock_; }
+  /// The node's clock, shared with the rank's runtime::Process.
+  clocks::VectorClock& clock() { return clock_; }
+  const clocks::VectorClock& clock() const { return clock_; }
   mem::PublicSegment& segment() { return segment_; }
   detect::ShardedDetector& detector() { return detector_; }
   LockManager& locks() { return locks_; }
@@ -174,15 +175,17 @@ class Nic {
   void handle_get_locked(const net::Message& m);
   void handle_signal(const net::Message& m);
 
-  /// Applies a put at home: optional verdict, clock event, data write,
-  /// area clock update, ack.
+  /// The home-side atomic event of a fused put or get: recorder stamp,
+  /// optional verdict, and the kHome access apply (detect/semantics.hpp),
+  /// after which clock_ is the completion payload. Returns whether the
+  /// verdict flagged a race.
+  bool home_apply(const net::Message& m, core::AccessKind kind);
+  /// Applies a put at home: home_apply, data write, ack.
   void apply_put(const net::Message& m);
-  /// Serves a get at home: verdict, clock event, area V update, response;
-  /// returns the response's delivery time (lock held until then — Fig. 3).
+  /// Serves a get at home: home_apply, response; returns the response's
+  /// delivery time (lock held until then — Fig. 3).
   sim::Time serve_get(const net::Message& m);
 
-  void record_home_report(core::AccessKind kind, const net::Message& m,
-                          const mem::Area& area, const core::Verdict& verdict);
   void record_initiator_report(core::AccessKind kind, Rank home, const mem::Area& area,
                                const OpContext& ctx, const net::Message& clock_resp,
                                const core::Verdict& verdict);
@@ -192,7 +195,7 @@ class Nic {
   net::Fabric& fabric_;
   mem::PublicSegment& segment_;
   detect::ShardedDetector& detector_;
-  NodeClock& clock_;
+  clocks::VectorClock& clock_;
   NicConfig config_;
   core::RaceLog& races_;
   core::EventLog& events_;

@@ -10,6 +10,7 @@
 
 #include "clocks/epoch.hpp"
 #include "clocks/vector_clock.hpp"
+#include "detect/semantics.hpp"
 #include "detect/sharded_detector.hpp"
 #include "util/assert.hpp"
 
@@ -20,19 +21,21 @@ using clocks::VectorClock;
 
 /// The fold keeps the state the live engines keep: per-area V/W state in one
 /// detect::ShardedDetector per home (the detector the sim NIC and
-/// ThreadWorld drive), the per-node NodeClock (one per rank — in the sim a
-/// rank's Process and its home NIC share a clock, which is why puts and gets
-/// are split into issue/apply/completion events), the lock-manager handoff
-/// clocks, and the in-flight ack/response payloads. Identical state +
-/// identical check inputs => bit-identical verdicts, including the epoch
-/// fast-path decisions.
+/// ThreadWorld drive), one clock per rank, the lock handoff clocks, and the
+/// in-flight ack/response payloads. It applies the transitions of
+/// detect/semantics.hpp with the placement each log's backend uses: sim
+/// logs (kPutApply/kGetApply) at detect::Placement::kHome, where a rank's
+/// clock is also its home NIC's clock (which is why sim puts and gets are
+/// split into issue/apply/completion events); thread logs (kThreadPut/
+/// kThreadGet) at Placement::kInitiator. Identical state + identical check
+/// inputs => bit-identical verdicts, including the epoch fast-path
+/// decisions.
 struct FoldState {
   struct Area {
     Rank home = kInvalidRank;
     detect::AreaId id = 0;  ///< per-home id in `detectors[home]`.
     std::string name;
-    VectorClock handoff;
-    bool has_handoff = false;
+    VectorClock handoff;  ///< empty until the first release.
   };
 
   std::vector<VectorClock> clocks;  // per rank
@@ -152,27 +155,14 @@ class Folder {
     const core::Verdict verdict =
         detector.check_one(mode_, kind, accessor, accessor_clock, area.id);
     if (!verdict.race) return;
-    core::RaceReport report;
+    core::RaceReport report =
+        detect::home_report(detector, area.id, kind, accessor, accessor_clock, verdict);
     report.id = result_.reports.size() + 1;
-    report.home = area.home;
     // The fold speaks flat area-table indices (per-segment ids are not in
     // the log); signatures are built in the same coordinates.
     report.area = static_cast<std::uint32_t>(area_index);
     report.area_name = area.name;
-    report.accessor = accessor;
-    report.kind = kind;
-    report.accessor_clock = accessor_clock;
-    report.against = verdict.against;
-    report.stored_clock = detector.prior_clock(area.id, verdict.against);
     result_.reports.push_back(std::move(report));
-  }
-
-  /// Stores one access into the area's V lane (and W for a write). Replay
-  /// never assigns event ids, so every stored event id is 0.
-  void store(const FoldState::Area& area, Rank owner, const VectorClock& clock,
-             bool is_write, Rank accessor) {
-    state_.detector(area).store_access(area.id, owner, clock, is_write, accessor,
-                                       /*event_id=*/0);
   }
 
   void fold(const Event& event) {
@@ -191,39 +181,29 @@ class Folder {
         queue[{event.a, event.b}].push_back(state_.clocks[event.a]);
         return;
       }
-      case EventKind::kPutApply: {
-        FoldState::Area* area = valid_area(event, event.b);
-        if (!valid_rank(event, event.a) || area == nullptr) return;
-        VectorClock issue;
-        if (!pop(event, state_.put_issue, event.a, event.b, &issue,
-                 "put issue"))
-          return;
-        const auto src = static_cast<Rank>(event.a);
-        check(event.b, *area, core::AccessKind::kWrite, src, issue);
-        // Home NIC receive_event + store, unconditionally (mode-independent).
-        VectorClock& home_clock = state_.clocks[static_cast<std::size_t>(area->home)];
-        home_clock.tick(area->home);
-        home_clock.merge_from(issue);
-        store(*area, area->home, home_clock, /*is_write=*/true, src);
-        if (log_.header.acked_puts) {
-          state_.put_ack[{event.a, event.b}].push_back(home_clock);
-        }
-        return;
-      }
+      case EventKind::kPutApply:
       case EventKind::kGetApply: {
         FoldState::Area* area = valid_area(event, event.b);
         if (!valid_rank(event, event.a) || area == nullptr) return;
+        const bool write = event.kind == EventKind::kPutApply;
         VectorClock issue;
-        if (!pop(event, state_.get_issue, event.a, event.b, &issue,
-                 "get issue"))
+        if (!pop(event, write ? state_.put_issue : state_.get_issue, event.a, event.b,
+                 &issue, write ? "put issue" : "get issue"))
           return;
         const auto src = static_cast<Rank>(event.a);
-        check(event.b, *area, core::AccessKind::kRead, src, issue);
-        VectorClock& home_clock = state_.clocks[static_cast<std::size_t>(area->home)];
-        home_clock.tick(area->home);
-        home_clock.merge_from(issue);
-        store(*area, area->home, home_clock, /*is_write=*/false, src);
-        state_.get_merge[{event.a, event.b}].push_back(home_clock);
+        const auto kind = write ? core::AccessKind::kWrite : core::AccessKind::kRead;
+        check(event.b, *area, kind, src, issue);
+        // The home NIC's receive event + store, unconditionally
+        // (mode-independent). Replay assigns no event ids: all stored are 0.
+        const VectorClock& home_clock = detect::apply_access(
+            detect::Placement::kHome, state_.detector(*area), area->id, kind, src, issue,
+            /*event_id=*/0, state_.clocks[static_cast<std::size_t>(area->home)],
+            /*wants_completion=*/true);
+        if (!write) {
+          state_.get_merge[{event.a, event.b}].push_back(home_clock);
+        } else if (log_.header.acked_puts) {
+          state_.put_ack[{event.a, event.b}].push_back(home_clock);
+        }
         return;
       }
       case EventKind::kPutAck:
@@ -240,8 +220,8 @@ class Folder {
       case EventKind::kLock: {
         FoldState::Area* area = valid_area(event, event.b);
         if (!valid_rank(event, event.a) || area == nullptr) return;
-        state_.clocks[event.a].tick(static_cast<Rank>(event.a));
-        if (area->has_handoff) state_.clocks[event.a].merge_from(area->handoff);
+        detect::acquire(state_.clocks[event.a], static_cast<Rank>(event.a),
+                        &area->handoff);
         return;
       }
       case EventKind::kUnlockIssue: {
@@ -260,13 +240,8 @@ class Folder {
         if (!pop(event, state_.unlock_release, event.a, event.b, &release,
                  "unlock release"))
           return;
-        // Sim LockManager::set_handoff MERGES successive releases.
-        if (area->has_handoff) {
-          area->handoff.merge_from(release);
-        } else {
-          area->handoff = std::move(release);
-          area->has_handoff = true;
-        }
+        detect::store_handoff(area->handoff, std::move(release),
+                              detect::HandoffRule::kMerge);
         return;
       }
       case EventKind::kSignal: {
@@ -296,8 +271,7 @@ class Folder {
         }
         const VectorClock sender = std::move(*it);
         queue.erase(it);
-        state_.clocks[event.a].tick(static_cast<Rank>(event.a));
-        state_.clocks[event.a].merge_from(sender);
+        detect::receive(state_.clocks[event.a], static_cast<Rank>(event.a), sender);
         return;
       }
       case EventKind::kThreadPut:
@@ -305,41 +279,33 @@ class Folder {
         FoldState::Area* area = valid_area(event, event.b);
         if (!valid_rank(event, event.a) || area == nullptr) return;
         const auto rank = static_cast<Rank>(event.a);
-        const detect::ShardedDetector& detector = state_.detector(*area);
+        const bool write = event.kind == EventKind::kThreadPut;
+        const auto kind = write ? core::AccessKind::kWrite : core::AccessKind::kRead;
         VectorClock& clock = state_.clocks[event.a];
         clock.tick(rank);
-        if (event.kind == EventKind::kThreadPut) {
-          check(event.b, *area, core::AccessKind::kWrite, rank, clock);
-          // Completion clock = pre-update V ∨ W, exactly ThreadWorld's
-          // acked-put merge source.
-          VectorClock completion = detector.v_clock(area->id);
-          completion.merge_from(detector.w_clock(area->id));
-          store(*area, rank, clock, /*is_write=*/true, rank);
-          if (log_.header.acked_puts) clock.merge_from(completion);
-        } else {
-          check(event.b, *area, core::AccessKind::kRead, rank, clock);
-          // A read stores V only, so W is still the reads-from source.
-          store(*area, rank, clock, /*is_write=*/false, rank);
-          clock.merge_from(detector.w_clock(area->id));
-        }
+        check(event.b, *area, kind, rank, clock);
+        // ThreadWorld merges a get's reads-from W always, an acked put's
+        // pre-update V ∨ W only when puts are acked.
+        const bool completes = !write || log_.header.acked_puts;
+        VectorClock completion;
+        detect::apply_access(detect::Placement::kInitiator, state_.detector(*area), area->id,
+                             kind, rank, clock, /*event_id=*/0, completion, completes);
+        if (completes) clock.merge_from(completion);
         return;
       }
       case EventKind::kThreadLock: {
         FoldState::Area* area = valid_area(event, event.b);
         if (!valid_rank(event, event.a) || area == nullptr) return;
-        state_.clocks[event.a].tick(static_cast<Rank>(event.a));
-        if (log_.header.lock_clock_handoff && area->has_handoff) {
-          state_.clocks[event.a].merge_from(area->handoff);
-        }
+        detect::acquire(state_.clocks[event.a], static_cast<Rank>(event.a),
+                        log_.header.lock_clock_handoff ? &area->handoff : nullptr);
         return;
       }
       case EventKind::kThreadUnlock: {
         FoldState::Area* area = valid_area(event, event.b);
         if (!valid_rank(event, event.a) || area == nullptr) return;
         state_.clocks[event.a].tick(static_cast<Rank>(event.a));
-        // ThreadWorld's UserLock handoff is overwritten, not merged.
-        area->handoff = state_.clocks[event.a];
-        area->has_handoff = true;
+        detect::store_handoff(area->handoff, state_.clocks[event.a],
+                              detect::HandoffRule::kOverwrite);
         return;
       }
     }
@@ -370,13 +336,8 @@ class Folder {
           << " we=" << epoch_digest(detector.w_epoch(area.id))
           << " la=" << detector.last_access_rank(area.id)
           << " lw=" << detector.last_write_rank(area.id);
-      out << " handoff=";
-      if (area.has_handoff) {
-        out << area.handoff.to_string();
-      } else {
-        out << "-";
-      }
-      out << "\n";
+      out << " handoff=" << (area.handoff.empty() ? "-" : area.handoff.to_string())
+          << "\n";
     }
     queue_digest(out, "put_issue", state_.put_issue);
     queue_digest(out, "put_ack", state_.put_ack);

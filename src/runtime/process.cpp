@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "detect/semantics.hpp"
 #include "record/recorder.hpp"
 #include "runtime/world.hpp"
 #include "util/assert.hpp"
@@ -31,9 +32,7 @@ sim::Time Process::now() const { return world_.engine().now(); }
 
 sim::Engine& Process::engine() { return world_.engine(); }
 
-const clocks::VectorClock& Process::clock() const {
-  return world_.node_clock(rank_).vector();
-}
+const clocks::VectorClock& Process::clock() const { return nic().clock(); }
 
 nic::Nic& Process::nic() { return world_.nic(rank_); }
 const nic::Nic& Process::nic() const { return world_.nic(rank_); }
@@ -41,7 +40,7 @@ const nic::Nic& Process::nic() const { return world_.nic(rank_); }
 nic::OpContext Process::begin_access(core::AccessKind kind, mem::GlobalAddress addr,
                                      std::uint32_t len) {
   // update_local_clock: the access is an event at this process.
-  world_.node_clock(rank_).tick();
+  nic().clock().tick(rank_);
 
   nic::OpContext ctx;
   ctx.issue_clock = clock();
@@ -84,7 +83,7 @@ sim::Future<void> Process::put_bytes(mem::GlobalAddress dst, std::vector<std::by
       world_.recorder()->record(record::EventKind::kPutAck, rank_,
                                 recorded_area(world_, nic(), dst));
     }
-    world_.node_clock(rank_).merge(result.home_clock);
+    nic().clock().merge_from(result.home_clock);
   }
 }
 
@@ -96,7 +95,7 @@ sim::Future<std::vector<std::byte>> Process::get(mem::GlobalAddress src,
     world_.recorder()->record(record::EventKind::kGetMerge, rank_,
                               recorded_area(world_, nic(), src));
   }
-  world_.node_clock(rank_).merge(result.home_clock);
+  nic().clock().merge_from(result.home_clock);
   co_return result.data;
 }
 
@@ -118,8 +117,7 @@ sim::Future<void> Process::lock(mem::GlobalAddress addr) {
   if (auto* rec = world_.recorder()) {
     rec->record(record::EventKind::kLock, rank_, rec->area_index(addr.rank, area->id));
   }
-  world_.node_clock(rank_).tick();
-  if (!result.handoff.empty()) world_.node_clock(rank_).merge(result.handoff);
+  detect::acquire(nic().clock(), rank_, &result.handoff);
   held_locks_.insert(identity);
 }
 
@@ -133,7 +131,7 @@ sim::Future<void> Process::unlock(mem::GlobalAddress addr) {
     rec->record(record::EventKind::kUnlockIssue, rank_,
                 rec->area_index(addr.rank, area->id));
   }
-  world_.node_clock(rank_).tick();  // release is an event.
+  nic().clock().tick(rank_);  // release is an event.
   nic().user_unlock(addr, clock());
   held_locks_.erase(identity);
   // The unlock message is fire-and-forget; co_return keeps the signature
@@ -146,7 +144,7 @@ void Process::signal(Rank to, std::uint64_t tag, std::span<const std::byte> payl
     world_.recorder()->record(record::EventKind::kSignal, rank_,
                               static_cast<std::uint64_t>(to), tag);
   }
-  world_.node_clock(rank_).tick();  // send is an event.
+  nic().clock().tick(rank_);  // send is an event.
   nic().send_signal(to, tag, clock(), {payload.begin(), payload.end()});
 }
 
@@ -160,7 +158,7 @@ sim::Future<std::vector<std::byte>> Process::wait_signal(std::uint64_t tag) {
                               static_cast<std::uint64_t>(msg.src), tag,
                               msg.clock[static_cast<std::size_t>(msg.src)]);
   }
-  world_.node_clock(rank_).receive_event(msg.clock);
+  detect::receive(nic().clock(), rank_, msg.clock);
   co_return msg.data;
 }
 
@@ -168,7 +166,7 @@ sim::Future<void> Process::compute(sim::Time duration) {
   if (world_.recorder() != nullptr) {
     world_.recorder()->record(record::EventKind::kTick, rank_);
   }
-  world_.node_clock(rank_).tick();  // a local event.
+  nic().clock().tick(rank_);  // a local event.
   // Wakeup skew (schedule perturbation): the computation "runs long" by a
   // seeded bounded amount — legal, since duration carries no ordering
   // semantics beyond the delay itself.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <thread>
 
+#include "detect/semantics.hpp"
 #include "record/recorder.hpp"
 #include "record/replay.hpp"
 #include "util/assert.hpp"
@@ -183,30 +184,6 @@ void ThreadWorld::replay_advance() {
   if (gate_) gate_->advance();
 }
 
-void ThreadWorld::record_race(core::AccessKind kind, Rank accessor, Rank home,
-                              const mem::Area& area,
-                              const clocks::VectorClock& accessor_clock,
-                              const core::Verdict& verdict, std::uint64_t event_id,
-                              std::uint64_t prior_event_id) {
-  core::RaceReport report;
-  report.home = home;
-  report.area = area.id;
-  report.area_name = area.name;
-  report.accessor = accessor;
-  report.kind = kind;
-  report.event_id = event_id;
-  report.accessor_clock = accessor_clock;
-  report.against = verdict.against;
-  // Caller holds the area's shard mutex, so this read is under the same
-  // critical section as the verdict it explains.
-  report.stored_clock =
-      nodes_[static_cast<std::size_t>(home)]->detector.prior_clock(area.id,
-                                                                   verdict.against);
-  report.prior_event_id = prior_event_id;
-  std::lock_guard<std::mutex> guard(races_mutex_);
-  races_.record(std::move(report));
-}
-
 // ---------------------------------------------------------------------------
 // ThreadProcess
 // ---------------------------------------------------------------------------
@@ -236,6 +213,22 @@ std::size_t ThreadProcess::detection_clock_bytes(const clocks::VectorClock& cloc
   return world_.config_.mode == core::DetectorMode::kOff ? 0 : clock.wire_size();
 }
 
+void ThreadProcess::check(detect::ShardedDetector& detector, const mem::Area& area,
+                          core::AccessKind kind, std::uint64_t event_id) {
+  ++checks_;
+  const core::Verdict verdict =
+      detector.check_one(world_.config_.mode, kind, rank_, clock_, area.id);
+  if (!verdict.race) return;
+  // Built under the caller's shard mutex, so the stored clock it quotes is
+  // the one the verdict was decided against.
+  core::RaceReport report =
+      detect::home_report(detector, area.id, kind, rank_, clock_, verdict);
+  report.area_name = area.name;
+  report.event_id = event_id;
+  std::lock_guard<std::mutex> guard(world_.races_mutex_);
+  world_.races_.record(std::move(report));
+}
+
 std::uint64_t ThreadProcess::recorded_area(Rank home, mem::AreaId area_id) const {
   // When replaying, the log's table is authoritative (a re-record run has
   // both attached, and alloc() keeps the two tables identical).
@@ -257,25 +250,16 @@ void ThreadProcess::put(mem::GlobalAddress dst, const std::vector<std::byte>& da
   {
     detect::ShardedDetector& det = node->detector;
     std::lock_guard<std::mutex> guard(det.shard_mutex(area->id));
-    ++checks_;
     // Linearization point: the stamp is taken under the shard mutex, so
     // the merged log orders this op against every other op on the area
     // exactly as the run did.
     if (rec != nullptr) {
       rec->record_thread(rank_, record::EventKind::kThreadPut, flat, data.size());
     }
-    const core::Verdict verdict = det.check_one(
-        world_.config_.mode, core::AccessKind::kWrite, rank_, clock_, area->id);
-    if (verdict.race) {
-      world_.record_race(core::AccessKind::kWrite, rank_, dst.rank, *area, clock_,
-                         verdict, event_id,
-                         det.prior_event(area->id, verdict.against));
-    }
-    if (acked) {
-      completion = det.v_clock(area->id);
-      completion.merge_from(det.w_clock(area->id));
-    }
-    det.store_access(area->id, rank_, clock_, /*is_write=*/true, rank_, event_id);
+    check(det, *area, core::AccessKind::kWrite, event_id);
+    detect::apply_access(detect::Placement::kInitiator, det, area->id,
+                         core::AccessKind::kWrite, rank_, clock_, event_id, completion,
+                         /*wants_completion=*/acked);
     node->segment.write_bytes(dst.offset, data);
   }
   if (acked) clock_.merge_from(completion);
@@ -301,19 +285,13 @@ std::vector<std::byte> ThreadProcess::get(mem::GlobalAddress src, std::uint32_t 
   {
     detect::ShardedDetector& det = node->detector;
     std::lock_guard<std::mutex> guard(det.shard_mutex(area->id));
-    ++checks_;
     if (rec != nullptr) {
       rec->record_thread(rank_, record::EventKind::kThreadGet, flat, len);
     }
-    const core::Verdict verdict = det.check_one(
-        world_.config_.mode, core::AccessKind::kRead, rank_, clock_, area->id);
-    if (verdict.race) {
-      world_.record_race(core::AccessKind::kRead, rank_, src.rank, *area, clock_,
-                         verdict, event_id,
-                         det.prior_event(area->id, verdict.against));
-    }
-    reads_from = det.w_clock(area->id);
-    det.store_access(area->id, rank_, clock_, /*is_write=*/false, rank_, event_id);
+    check(det, *area, core::AccessKind::kRead, event_id);
+    detect::apply_access(detect::Placement::kInitiator, det, area->id,
+                         core::AccessKind::kRead, rank_, clock_, event_id, reads_from,
+                         /*wants_completion=*/true);
     data = node->segment.read_bytes(src.offset, len);
   }
   clock_.merge_from(reads_from);
@@ -346,10 +324,8 @@ void ThreadProcess::lock(mem::GlobalAddress addr) {
     user_lock.abandoned.insert(ticket);
     throw ThreadWorld::StuckRank{};
   }
-  clock_.tick(rank_);
-  if (world_.config_.lock_clock_handoff && user_lock.handoff.size() > 0) {
-    clock_.merge_from(user_lock.handoff);
-  }
+  detect::acquire(clock_, rank_,
+                  world_.config_.lock_clock_handoff ? &user_lock.handoff : nullptr);
   // Stamped under the user-lock mutex: grant order IS the logged order.
   if (rec != nullptr) rec->record_thread(rank_, record::EventKind::kThreadLock, flat);
   account(net::MsgType::kLockRequest, 0, 0);
@@ -371,7 +347,7 @@ void ThreadProcess::unlock(mem::GlobalAddress addr) {
     std::lock_guard<std::mutex> guard(user_lock.mutex);
     DSMR_REQUIRE(user_lock.now_serving < user_lock.next_ticket,
                  "unlock of an unheld lock on area " << area->name);
-    user_lock.handoff = clock_;
+    detect::store_handoff(user_lock.handoff, clock_, detect::HandoffRule::kOverwrite);
     if (rec != nullptr) {
       rec->record_thread(rank_, record::EventKind::kThreadUnlock, flat);
     }
@@ -421,8 +397,7 @@ std::vector<std::byte> ThreadProcess::wait_signal(std::uint64_t tag) {
                        static_cast<std::uint64_t>(message->src), tag,
                        message->clock[static_cast<std::size_t>(message->src)]);
   }
-  clock_.tick(rank_);
-  clock_.merge_from(message->clock);
+  detect::receive(clock_, rank_, message->clock);
   world_.replay_advance();
   return std::move(message->payload);
 }

@@ -11,31 +11,16 @@
 // schedule (docs/testing.md, "Backends").
 //
 // Detection model. Each one-sided op ticks the initiator's thread-confined
-// vector clock and checks inline against the home's detect::ShardedDetector,
-// under that detector's shard mutex (shard = area id mod shards — the
-// detector's own partitioning, which replaced the ad-hoc per-home stripe
-// array this backend carried before the detector was extracted):
-//
-//   tick; lock shard; detector.check_one(issue clock vs V/W lane);
-//   detector.store_access(V, and W for writes) := issue clock;
-//   move the bytes; unlock.
-//
-// The stored clock is the *initiator's issue clock* (a genuine event clock,
-// so the epoch O(1) fast path applies — and debug builds auto-cross-check
-// every inline verdict against check_access_oracle). This differs from the
-// sim, which stores the home NIC's post-event clock; both induce the same
-// verdicts on the generated-program families the differential harness
-// compares (fuzz/thread_harness.hpp explains why), but per-event clock
-// values differ — one more reason comparison is by signature.
-//
-// Happens-before edges beyond program order, all backed by real
-// synchronization (a mutex or mailbox the edge physically passes through):
-//  * signal → wait_signal delivers the sender's clock (receive event);
-//  * user lock release → next acquire merges the handoff clock (when
-//    lock_clock_handoff, as in the sim);
-//  * a get merges the stored W it read from (reads-from edge);
-//  * an acked put merges the area's pre-update V ∨ W (completion edge),
-//    when acked_puts — matching the sim's ack-carries-home-clock regime.
+// vector clock, then, under the home detector's shard mutex (shard = area
+// id mod shards), checks inline and applies the access through
+// detect/semantics.hpp at Placement::kInitiator: the stored clock is the
+// issue clock, and a get (an acked put) merges W (V ∨ W) on completion.
+// The sim stores at Placement::kHome instead; both induce the same verdicts
+// on the program families the differential harness compares
+// (fuzz/thread_harness.hpp explains why), but per-event clock values
+// differ — one more reason comparison is by signature. The other edges —
+// signal → wait receive, and user-lock handoff when lock_clock_handoff
+// (HandoffRule::kOverwrite) — pass through a real mutex or mailbox.
 //
 // Logically racy programs stay *physically* race-free (TSan-clean): every
 // byte of shared payload moves under the area's detector shard mutex; a
@@ -152,7 +137,7 @@ class ThreadWorld {
   struct StuckRank {};
 
   /// FIFO ticket lock backing one area's user-visible NIC lock, plus the
-  /// release→acquire handoff clock.
+  /// release→acquire handoff clock (detect::HandoffRule::kOverwrite).
   struct UserLock {
     std::mutex mutex;
     std::condition_variable turn;
@@ -183,10 +168,6 @@ class ThreadWorld {
   const record::Event* replay_enter(Rank rank, record::EventKind kind,
                                     std::uint64_t detail);
   void replay_advance();
-  void record_race(core::AccessKind kind, Rank accessor, Rank home,
-                   const mem::Area& area, const clocks::VectorClock& accessor_clock,
-                   const core::Verdict& verdict, std::uint64_t event_id,
-                   std::uint64_t prior_event_id);
 
   ThreadWorldConfig config_;
   net::ThreadFabric fabric_;
@@ -246,6 +227,10 @@ class ThreadProcess {
     mem::Area* area;
   };
   Resolved resolve(mem::GlobalAddress addr, std::uint32_t len);
+  /// The inline verdict against `area`'s stored state, reporting a race.
+  /// Caller holds the area's shard mutex.
+  void check(detect::ShardedDetector& detector, const mem::Area& area,
+             core::AccessKind kind, std::uint64_t event_id);
   std::uint64_t next_event_id() { return (static_cast<std::uint64_t>(rank_) << 40) | ++ops_; }
   /// Charges one wire-equivalent message to this rank's fabric shard. The
   /// message is never built: only its shape (type, payload and clock bytes)

@@ -14,7 +14,7 @@ World::Node::Node(Rank rank, World& world)
     : segment(rank, world.config_.segment_bytes, static_cast<std::size_t>(world.config_.nprocs)),
       detector(static_cast<std::size_t>(world.config_.nprocs), rank,
                world.config_.detector_shards),
-      clock(static_cast<std::size_t>(world.config_.nprocs), rank),
+      clock(static_cast<std::size_t>(world.config_.nprocs)),
       nic(rank, world.engine_, world.fabric_, segment, detector, clock,
           nic::NicConfig{world.config_.mode, world.config_.transport,
                          world.config_.lock_clock_handoff},
@@ -151,11 +151,6 @@ nic::Nic& World::nic(Rank rank) {
   return nodes_[static_cast<std::size_t>(rank)]->nic;
 }
 
-nic::NodeClock& World::node_clock(Rank rank) {
-  DSMR_REQUIRE(rank >= 0 && rank < config_.nprocs, "node_clock: bad rank " << rank);
-  return nodes_[static_cast<std::size_t>(rank)]->clock;
-}
-
 Process& World::process(Rank rank) {
   DSMR_REQUIRE(rank >= 0 && rank < config_.nprocs, "process: bad rank " << rank);
   return *processes_[static_cast<std::size_t>(rank)];
@@ -168,9 +163,9 @@ std::size_t World::total_clock_bytes() const {
 }
 
 clocks::VectorClock World::knowledge_frontier() const {
-  clocks::VectorClock frontier = nodes_.front()->clock.vector();
+  clocks::VectorClock frontier = nodes_.front()->clock;
   for (std::size_t i = 1; i < nodes_.size(); ++i) {
-    const auto& clock = nodes_[i]->clock.vector();
+    const auto& clock = nodes_[i]->clock;
     for (std::size_t k = 0; k < frontier.size(); ++k) {
       frontier[k] = std::min(frontier[k], clock[k]);
     }

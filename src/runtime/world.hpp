@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "clocks/vector_clock.hpp"
 #include "core/event_log.hpp"
 #include "core/race_report.hpp"
 #include "core/types.hpp"
@@ -18,7 +19,6 @@
 #include "mem/public_segment.hpp"
 #include "net/sim_fabric.hpp"
 #include "nic/nic.hpp"
-#include "nic/node_clock.hpp"
 #include "sim/engine.hpp"
 #include "sim/perturb.hpp"
 #include "sim/task.hpp"
@@ -128,7 +128,6 @@ class World {
   mem::PublicSegment& segment(Rank rank);
   detect::ShardedDetector& detector(Rank rank);
   nic::Nic& nic(Rank rank);
-  nic::NodeClock& node_clock(Rank rank);
   Process& process(Rank rank);
 
   /// The next wakeup skew under the configured perturbation (0 when
@@ -149,7 +148,7 @@ class World {
     Node(Rank rank, World& world);
     mem::PublicSegment segment;
     detect::ShardedDetector detector;  ///< declared before nic (init order).
-    nic::NodeClock clock;
+    clocks::VectorClock clock;  ///< the rank's clock, shared by its Process and NIC.
     nic::Nic nic;
   };
 

@@ -6,8 +6,6 @@
 #include <cstdlib>
 #include <limits>
 
-#include "util/assert.hpp"
-
 namespace dsmr::util {
 
 namespace {
@@ -31,6 +29,14 @@ bool strict_double_text(const std::string& text) {
     if (!ok) return false;
   }
   return true;
+}
+
+/// A malformed command line is the caller's input, not a program bug: print
+/// the message and exit 2 (the tools' invalid-input code) instead of
+/// aborting.
+[[noreturn]] void usage_error(const std::string& program, const std::string& message) {
+  std::fprintf(stderr, "%s: %s\n", program.c_str(), message.c_str());
+  std::exit(2);
 }
 
 }  // namespace
@@ -97,7 +103,9 @@ Cli::Cli(int argc, char** argv, const std::string& usage) {
       std::printf("usage: %s %s\n", program_.c_str(), usage.c_str());
       std::exit(0);
     }
-    DSMR_REQUIRE(arg.rfind("--", 0) == 0, "flags must start with --, got: " << arg);
+    if (arg.rfind("--", 0) != 0) {
+      usage_error(program_, "flags must start with --, got: " + arg);
+    }
     arg = arg.substr(2);
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
@@ -115,8 +123,9 @@ std::int64_t Cli::get_int(const std::string& name, std::int64_t default_value) {
   const auto it = values_.find(name);
   if (it == values_.end()) return default_value;
   const auto value = parse_i64(it->second);
-  DSMR_REQUIRE(value.has_value(),
-               "--" << name << " expects an integer, got '" << it->second << "'");
+  if (!value) {
+    usage_error(program_, "--" + name + " expects an integer, got '" + it->second + "'");
+  }
   return *value;
 }
 
@@ -125,8 +134,10 @@ std::uint64_t Cli::get_uint(const std::string& name, std::uint64_t default_value
   const auto it = values_.find(name);
   if (it == values_.end()) return default_value;
   const auto value = parse_u64(it->second);
-  DSMR_REQUIRE(value.has_value(), "--" << name << " expects a non-negative integer, got '"
-                                       << it->second << "'");
+  if (!value) {
+    usage_error(program_, "--" + name + " expects a non-negative integer, got '" +
+                              it->second + "'");
+  }
   return *value;
 }
 
@@ -140,9 +151,10 @@ double Cli::get_double(const std::string& name, double default_value) {
   // ERANGE underflow still yields the nearest representable value (a
   // denormal or 0) — accept it; only reject overflow to ±infinity.
   const bool overflow = errno == ERANGE && (value == HUGE_VAL || value == -HUGE_VAL);
-  DSMR_REQUIRE(strict_double_text(it->second) && !overflow &&
-                   end == it->second.c_str() + it->second.size(),
-               "--" << name << " expects a number, got '" << it->second << "'");
+  if (!strict_double_text(it->second) || overflow ||
+      end != it->second.c_str() + it->second.size()) {
+    usage_error(program_, "--" + name + " expects a number, got '" + it->second + "'");
+  }
   return value;
 }
 
@@ -164,13 +176,15 @@ SeedRange Cli::get_seed_range(const std::string& name, const SeedRange& default_
   if (it == values_.end()) return default_value;
   std::string error;
   const auto range = parse_seed_range(it->second, default_value.first, &error);
-  DSMR_REQUIRE(range.has_value(), "--" << name << ": " << error);
+  if (!range) usage_error(program_, "--" + name + ": " + error);
   return *range;
 }
 
 void Cli::finish() const {
   for (const auto& [name, value] : values_) {
-    DSMR_REQUIRE(consumed_.count(name) > 0, "unknown flag --" << name << " (try --help)");
+    if (consumed_.count(name) == 0) {
+      usage_error(program_, "unknown flag --" + name + " (try --help)");
+    }
     (void)value;
   }
 }

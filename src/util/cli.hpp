@@ -4,6 +4,7 @@
 // Unknown flags are an error: examples are teaching material and should
 // fail loudly on typos. Numeric flags are parsed *strictly* — trailing
 // garbage ("12abc") or overflow is a loud error, never a silent truncation.
+// Every usage error prints its message to stderr and exits with status 2.
 #pragma once
 
 #include <cstdint>
@@ -56,10 +57,10 @@ class Cli {
   bool get_flag(const std::string& name);
 
   /// The shared `--<name> N|LO..HI` seed-range flag (parse_seed_range);
-  /// panics with the parse error on malformed input.
+  /// exits 2 with the parse error on malformed input.
   SeedRange get_seed_range(const std::string& name, const SeedRange& default_value);
 
-  /// Call after all get_* lookups: panics on flags that were passed but
+  /// Call after all get_* lookups: exits 2 on flags that were passed but
   /// never consumed (i.e. typos).
   void finish() const;
 

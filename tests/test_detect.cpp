@@ -1,9 +1,10 @@
 // The sharded detector core: batch ≡ per-area verdict equivalence, shard
 // partitioning as a pure locking concern (verdict-neutral at 1/2/8 shards on
 // fuzzed programs, sim bit-identical / threaded signature-equal), cold-area
-// storage behavior at production scale, the vectorized clock compare against
-// its scalar oracle, and the delta clock codec behind the piggyback wire
-// accounting.
+// storage behavior at production scale, the shared happens-before rules
+// (detect/semantics.hpp) and the placement difference between the models,
+// the vectorized clock compare against its scalar oracle, and the delta
+// clock codec behind the piggyback wire accounting.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 
 #include "clocks/vector_clock.hpp"
 #include "core/rules.hpp"
+#include "detect/semantics.hpp"
 #include "detect/sharded_detector.hpp"
 #include "fuzz/generate.hpp"
 #include "fuzz/program.hpp"
@@ -358,6 +360,206 @@ TEST(ShardEquivalence, ThreadedContractHoldsAcrossShardCounts) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Semantics: the shared rules and the placement difference
+// ---------------------------------------------------------------------------
+
+/// Everything an access apply can change, for comparing two event orders.
+std::string apply_state(const ShardedDetector& detector, const VectorClock& home_clock,
+                        const std::vector<VectorClock>& completions) {
+  std::string out = "home=" + home_clock.to_string();
+  for (AreaId id = 0; id < detector.area_count(); ++id) {
+    out += " a" + std::to_string(id) + " v=" + detector.v_clock(id).to_string() +
+           " ve=" + detector.v_epoch(id).to_string() +
+           " w=" + detector.w_clock(id).to_string() +
+           " we=" + detector.w_epoch(id).to_string() +
+           " la=" + std::to_string(detector.last_access_rank(id)) +
+           " lw=" + std::to_string(detector.last_write_rank(id));
+  }
+  for (const VectorClock& completion : completions) out += " c=" + completion.to_string();
+  return out;
+}
+
+TEST(Semantics, DisjointAreasOfOneHomeCommuteOnlyAtInitiatorPlacement) {
+  // Two accesses to different areas with the same home (rank 0 of 3),
+  // applied in both orders: at kHome each applied access folds into the
+  // shared home clock, so the order shows in the stored V and in the
+  // completion clock each initiator merges; at kInitiator it shows nowhere.
+  struct Case {
+    Placement placement;
+    AccessKind first;
+    AccessKind second;
+    bool commutes;
+  };
+  const Case cases[] = {
+      {Placement::kHome, AccessKind::kWrite, AccessKind::kWrite, false},
+      {Placement::kHome, AccessKind::kWrite, AccessKind::kRead, false},
+      {Placement::kHome, AccessKind::kRead, AccessKind::kRead, false},
+      {Placement::kInitiator, AccessKind::kWrite, AccessKind::kWrite, true},
+      {Placement::kInitiator, AccessKind::kWrite, AccessKind::kRead, true},
+      {Placement::kInitiator, AccessKind::kRead, AccessKind::kRead, true},
+  };
+  for (const Case& c : cases) {
+    struct Access {
+      Rank accessor;
+      AreaId area;
+      AccessKind kind;
+    };
+    const Access accesses[] = {{1, 0, c.first}, {2, 1, c.second}};
+    std::string states[2];
+    for (int order = 0; order < 2; ++order) {
+      ShardedDetector detector(3, /*home=*/0, /*shards=*/1);
+      detector.register_areas(2);
+      VectorClock home_clock(3);
+      std::vector<VectorClock> completions(2);
+      for (int k = 0; k < 2; ++k) {
+        const int which = order == 0 ? k : 1 - k;
+        const Access& access = accesses[which];
+        VectorClock issue(3);
+        issue.tick(access.accessor);
+        VectorClock& completion =
+            c.placement == Placement::kHome ? home_clock : completions[which];
+        const VectorClock& merged =
+            apply_access(c.placement, detector, access.area, access.kind, access.accessor,
+                         issue, /*event_id=*/0, completion, /*wants_completion=*/true);
+        completions[which] = merged;
+      }
+      states[order] = apply_state(detector, home_clock, completions);
+    }
+    SCOPED_TRACE(std::string(c.placement == Placement::kHome ? "home " : "initiator ") +
+                 core::to_string(c.first) + "/" + core::to_string(c.second));
+    if (c.commutes) {
+      EXPECT_EQ(states[0], states[1]);
+    } else {
+      EXPECT_NE(states[0], states[1]);
+    }
+  }
+}
+
+TEST(Semantics, HomePlacementStoredVDependsOnOrder) {
+  // The concrete home-placement difference: area 0's stored V is the home
+  // clock of whichever event applied it, so it carries the other access
+  // exactly when that access applied first.
+  VectorClock stored_v[2];
+  for (int order = 0; order < 2; ++order) {
+    ShardedDetector detector(3, /*home=*/0, /*shards=*/1);
+    detector.register_areas(2);
+    VectorClock home_clock(3);
+    const VectorClock one{0, 1, 0};
+    const VectorClock two{0, 0, 1};
+    for (int k = 0; k < 2; ++k) {
+      const bool first_area = (order == 0) == (k == 0);
+      apply_access(Placement::kHome, detector, first_area ? 0 : 1, AccessKind::kWrite,
+                   first_area ? 1 : 2, first_area ? one : two, 0, home_clock, true);
+    }
+    EXPECT_EQ(home_clock, (VectorClock{2, 1, 1}));
+    stored_v[order] = detector.v_clock(0);
+  }
+  EXPECT_EQ(stored_v[0], (VectorClock{1, 1, 0}));
+  EXPECT_EQ(stored_v[1], (VectorClock{2, 1, 1}));
+}
+
+TEST(Semantics, CompletionSourcePerPlacementKindAndAck) {
+  // Pre-state of area 0 at home 0: a write by rank 1 then a read by rank 2,
+  // so the stored W = {0,1,0} and V = {0,0,1} differ. Rank 1 then accesses
+  // it with issue clock {0,2,0}. Executors want the completion clock for
+  // every get and for acked puts only.
+  struct Case {
+    Placement placement;
+    AccessKind kind;
+    bool acked;
+    VectorClock completion;  ///< empty: nothing to merge.
+  };
+  const Case cases[] = {
+      // kHome: the home's receive event, whatever the kind or ack regime.
+      {Placement::kHome, AccessKind::kWrite, true, VectorClock{1, 2, 0}},
+      {Placement::kHome, AccessKind::kWrite, false, VectorClock{1, 2, 0}},
+      {Placement::kHome, AccessKind::kRead, true, VectorClock{1, 2, 0}},
+      {Placement::kHome, AccessKind::kRead, false, VectorClock{1, 2, 0}},
+      // kInitiator: pre-update V ∨ W for an acked put, W for a get.
+      {Placement::kInitiator, AccessKind::kWrite, true, VectorClock{0, 1, 1}},
+      {Placement::kInitiator, AccessKind::kWrite, false, VectorClock{}},
+      {Placement::kInitiator, AccessKind::kRead, true, VectorClock{0, 1, 0}},
+      {Placement::kInitiator, AccessKind::kRead, false, VectorClock{0, 1, 0}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.placement == Placement::kHome ? "home " : "initiator ") +
+                 core::to_string(c.kind) + (c.acked ? " acked" : " unacked"));
+    ShardedDetector detector(3, /*home=*/0, /*shards=*/1);
+    detector.register_area(0);
+    detector.store_access(0, 1, VectorClock{0, 1, 0}, /*is_write=*/true, 1, 0);
+    detector.store_access(0, 2, VectorClock{0, 0, 1}, /*is_write=*/false, 2, 0);
+    const VectorClock issue{0, 2, 0};
+    const bool wants = c.kind == AccessKind::kRead || c.acked;
+    VectorClock home_clock(3);
+    VectorClock buffer;
+    VectorClock& completion = c.placement == Placement::kHome ? home_clock : buffer;
+    const VectorClock& merged = apply_access(c.placement, detector, 0, c.kind, 1, issue,
+                                             /*event_id=*/7, completion, wants);
+    EXPECT_EQ(&merged, &completion);
+    EXPECT_EQ(merged, c.completion);
+    // The stored clock: the home's receive event, or the issue clock itself.
+    const VectorClock& stored = c.placement == Placement::kHome ? home_clock : issue;
+    EXPECT_EQ(detector.v_clock(0), stored);
+    EXPECT_EQ(detector.v_epoch(0),
+              clocks::Epoch::of_event(c.placement == Placement::kHome ? 0 : 1, stored));
+    EXPECT_EQ(detector.w_clock(0),
+              c.kind == AccessKind::kWrite ? stored : (VectorClock{0, 1, 0}));
+    EXPECT_EQ(detector.last_access_event(0), 7u);
+  }
+}
+
+TEST(Semantics, SyncTransitions) {
+  // receive and acquire tick before merging; an absent or empty handoff
+  // merges nothing.
+  VectorClock clock{1, 0, 0};
+  receive(clock, 0, VectorClock{0, 3, 1});
+  EXPECT_EQ(clock, (VectorClock{2, 3, 1}));
+  acquire(clock, 0, nullptr);
+  EXPECT_EQ(clock, (VectorClock{3, 3, 1}));
+  const VectorClock none;
+  acquire(clock, 0, &none);
+  EXPECT_EQ(clock, (VectorClock{4, 3, 1}));
+  const VectorClock handoff{0, 5, 0};
+  acquire(clock, 0, &handoff);
+  EXPECT_EQ(clock, (VectorClock{5, 5, 1}));
+
+  // The named handoff difference: the sim merges successive releases, the
+  // threaded backend keeps the latest.
+  struct Case {
+    HandoffRule rule;
+    VectorClock expected;
+  };
+  for (const Case& c : {Case{HandoffRule::kMerge, VectorClock{2, 1}},
+                        Case{HandoffRule::kOverwrite, VectorClock{0, 1}}}) {
+    VectorClock slot;
+    store_handoff(slot, VectorClock{2, 0}, c.rule);
+    EXPECT_EQ(slot, (VectorClock{2, 0}));
+    store_handoff(slot, VectorClock{0, 1}, c.rule);
+    EXPECT_EQ(slot, c.expected);
+  }
+}
+
+TEST(Semantics, HomeReportQuotesTheStateTheVerdictSaw) {
+  ShardedDetector detector(2, /*home=*/1, /*shards=*/1);
+  detector.register_area(0);
+  detector.store_access(0, 0, VectorClock{1, 0}, /*is_write=*/true, 0, /*event_id=*/41);
+  const VectorClock accessor_clock{0, 1};
+  const core::Verdict verdict = detector.check_one(DetectorMode::kDualClock,
+                                                   AccessKind::kWrite, 1, accessor_clock, 0);
+  ASSERT_TRUE(verdict.race);
+  const core::RaceReport report =
+      home_report(detector, 0, AccessKind::kWrite, 1, accessor_clock, verdict);
+  EXPECT_EQ(report.home, 1);
+  EXPECT_EQ(report.area, 0u);
+  EXPECT_EQ(report.accessor, 1);
+  EXPECT_EQ(report.kind, AccessKind::kWrite);
+  EXPECT_EQ(report.accessor_clock, accessor_clock);
+  EXPECT_EQ(report.against, verdict.against);
+  EXPECT_EQ(report.stored_clock, (VectorClock{1, 0}));
+  EXPECT_EQ(report.prior_event_id, 41u);
 }
 
 // ---------------------------------------------------------------------------

@@ -305,5 +305,25 @@ TEST(CliDeath, NonFlagArgumentRejected) {
   EXPECT_DEATH(Cli(2, const_cast<char**>(argv), "usage"), "flags must start with --");
 }
 
+TEST(CliDeath, UsageErrorsExitWithStatusTwoNotAnAbort) {
+  // A malformed command line is the caller's input: every usage error
+  // prints its message and exits 2 (the tools' invalid-input status).
+  const char* argv[] = {"prog",     "--int",  "abc", "--uint", "-1",     "--num",
+                        "1e400",    "--seeds", "0",  "--big",  "4294967297x"};
+  Cli cli(11, const_cast<char**>(argv), "usage");
+  const auto two = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(cli.get_int("int", 0), two, "--int expects an integer, got 'abc'");
+  EXPECT_EXIT(cli.get_uint("uint", 0), two, "--uint expects a non-negative integer");
+  EXPECT_EXIT(cli.get_double("num", 0.0), two, "--num expects a number");
+  EXPECT_EXIT(cli.get_seed_range("seeds", SeedRange{1, 32}), two,
+              "--seeds: seed count must be positive");
+  EXPECT_EXIT(cli.get_int("big", 0), two, "--big expects an integer");
+  EXPECT_EXIT(cli.finish(), two, "unknown flag --");
+
+  const char* stray[] = {"prog", "stray"};
+  EXPECT_EXIT(Cli(2, const_cast<char**>(stray), "usage"), two,
+              "flags must start with --, got: stray");
+}
+
 }  // namespace
 }  // namespace dsmr::util

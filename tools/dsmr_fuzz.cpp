@@ -62,6 +62,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <string>
@@ -69,6 +70,7 @@
 
 #include "fuzz/generate.hpp"
 #include "fuzz/harness.hpp"
+#include "fuzz/program.hpp"
 #include "fuzz/shrink.hpp"
 #include "fuzz/thread_harness.hpp"
 #include "net/fault.hpp"
@@ -158,6 +160,20 @@ struct FailureRecord {
   std::size_t ops_after = 0;
 };
 
+/// Reads an integer flag that must lie in [1, max] and exits 2 outside it —
+/// checked before the caller narrows it, so no value wraps or reaches a
+/// generator precondition.
+std::int64_t bounded_flag(util::Cli& cli, const char* name, std::int64_t default_value,
+                          std::int64_t max) {
+  const std::int64_t value = cli.get_int(name, default_value);
+  if (value < 1 || value > max) {
+    std::fprintf(stderr, "--%s must be in [1, %lld], got %lld\n", name,
+                 static_cast<long long>(max), static_cast<long long>(value));
+    std::exit(2);
+  }
+  return value;
+}
+
 /// Parses `--bug-kinds` ("all" or a comma list); exits 2 on unknown names.
 std::vector<fuzz::BugKind> parse_bug_kinds_or_die(const std::string& text) {
   if (text == "all") return fuzz::all_bug_kinds();
@@ -203,8 +219,8 @@ int main(int argc, char** argv) {
                 "[--stripes N] [--thread-timeout-ms MS] [--verbose] | "
                 "--replay FILE");
   const std::string replay_path = cli.get_string("replay", "");
-  const auto threads =
-      static_cast<int>(cli.get_int("threads", util::ThreadPool::hardware_threads()));
+  const auto threads = static_cast<int>(bounded_flag(
+      cli, "threads", util::ThreadPool::hardware_threads(), std::numeric_limits<int>::max()));
   if (!replay_path.empty()) {
     cli.finish();
     return run_replay(replay_path, threads);
@@ -221,12 +237,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, ")\n");
     return 2;
   }
-  gen.nprocs = static_cast<int>(cli.get_int("ranks", gen.nprocs));
-  gen.areas = static_cast<int>(cli.get_int("areas", gen.areas));
-  gen.phases = static_cast<int>(cli.get_int("phases", gen.phases));
-  gen.max_ops_per_rank = static_cast<int>(cli.get_int("ops", gen.max_ops_per_rank));
-  gen.area_bytes =
-      static_cast<std::uint32_t>(cli.get_int("area-bytes", gen.area_bytes));
+  // Shape flags against the generator's caps (fuzz/program.hpp).
+  gen.nprocs = static_cast<int>(bounded_flag(cli, "ranks", gen.nprocs, fuzz::kMaxProcs));
+  gen.areas = static_cast<int>(bounded_flag(cli, "areas", gen.areas, fuzz::kMaxAreas));
+  gen.phases = static_cast<int>(bounded_flag(cli, "phases", gen.phases,
+                                             static_cast<std::int64_t>(fuzz::kMaxPhases)));
+  gen.max_ops_per_rank = static_cast<int>(bounded_flag(
+      cli, "ops", gen.max_ops_per_rank, static_cast<std::int64_t>(fuzz::kMaxOpsPerRank)));
+  gen.area_bytes = static_cast<std::uint32_t>(
+      bounded_flag(cli, "area-bytes", gen.area_bytes, fuzz::kMaxAreaBytes));
   double planted_fraction = cli.get_double("planted-fraction", 0.5);
   const std::string schedule_text = cli.get_string("schedule", "uniform");
   const auto schedule = fuzz::parse_schedule_mode(schedule_text);
