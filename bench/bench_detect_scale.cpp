@@ -10,8 +10,11 @@
 //    small factor of ns/area at 16k (the PublicSegment sorted-index fix);
 //  * piggybacking both area clocks charges the second as a delta against the
 //    first — exact deterministic bytes per message, equal clocks collapsing
-//    to two bytes.
+//    to two bytes;
+//  * a registered area stays cheap on the threaded backend: heap bytes per
+//    area of ThreadWorld::alloc at 10^6 areas, under a fixed ceiling.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <chrono>
 #include <thread>
@@ -21,6 +24,7 @@
 #include "detect/sharded_detector.hpp"
 #include "mem/public_segment.hpp"
 #include "net/message.hpp"
+#include "runtime/thread_world.hpp"
 #include "util/assert.hpp"
 
 namespace dsmr::bench {
@@ -163,6 +167,40 @@ double registration_ns_per_area(std::size_t count) {
          static_cast<double>(count);
 }
 
+struct ThreadAllocCost {
+  double ns_per_area = 0;
+  double heap_bytes_per_area = 0;
+};
+
+/// Heap bytes in use, mmapped blocks included (large vectors live there).
+std::size_t heap_in_use() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+/// The full threaded registration path: ThreadWorld::alloc of `count`
+/// 8-byte areas on one home (area table and index, detector lanes, and any
+/// per-area lock state). Heap bytes are the in-use delta over the allocs,
+/// so the world's fixed construction cost — including the segment's
+/// reserved, not yet materialized, backing — is excluded.
+ThreadAllocCost thread_alloc_cost(std::size_t count) {
+  runtime::ThreadWorldConfig config;
+  config.nprocs = 1;
+  config.segment_bytes = static_cast<std::uint32_t>(8 * count);
+  runtime::ThreadWorld world(config);
+  const std::size_t heap_before = heap_in_use();
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < count; ++i) world.alloc(0, 8, "x");
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  const std::size_t heap_after = heap_in_use();
+  DSMR_CHECK(world.segment(0).area_count() == count);
+  const auto n = static_cast<double>(count);
+  return ThreadAllocCost{
+      static_cast<double>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()) / n,
+      (static_cast<double>(heap_after) - static_cast<double>(heap_before)) / n};
+}
+
 /// Exact charged clock bytes for a dual-clock message at n=64: the V clock
 /// plain, the W clock delta-encoded against it (net::Message accounting).
 double piggyback_clock_bytes(bool diverged) {
@@ -270,6 +308,15 @@ void print_summary() {
     json_add("detect_registration", {{"areas", "16384"}}, small);
     json_add("detect_registration", {{"areas", "1000000"}}, large);
     print_table("=== Area registration stays amortized O(1) ===", table);
+  }
+  {
+    util::Table table({"areas (8 B, one home)", "ns/area", "heap B/area"});
+    const ThreadAllocCost cost = thread_alloc_cost(kAreas);
+    table.add_row({"1000000", util::Table::fmt(cost.ns_per_area, 1),
+                   util::Table::fmt(cost.heap_bytes_per_area, 1)});
+    json_add("thread_alloc", {{"areas", std::to_string(kAreas)}, {"area_bytes", "8"}},
+             cost.ns_per_area, cost.heap_bytes_per_area);
+    print_table("=== What a registered area costs: ThreadWorld::alloc ===", table);
   }
   {
     util::Table table({"clock state (n=64)", "charged bytes"});

@@ -3,13 +3,17 @@
 //
 // Measures (a) the delay imposed on a put landing during an in-flight get
 // as a function of the transfer size (the Fig. 3 semantics made
-// quantitative), and (b) lock-manager behaviour when many ranks hammer one
-// hot area.
+// quantitative), (b) lock-manager behaviour when many ranks hammer one
+// hot area, and (c) the wall cost of a lock/unlock pair on the threaded
+// backend when ranks lock different areas of one home.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "runtime/thread_world.hpp"
 #include "util/assert.hpp"
 
 namespace dsmr::bench {
@@ -118,6 +122,34 @@ void BM_HotLock(benchmark::State& state) {
 }
 BENCHMARK(BM_HotLock)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->ArgName("n");
 
+/// Wall ns per lock+unlock pair on the threaded backend, median of 5 runs:
+/// `nprocs` rank threads each lock and unlock their own area of home 0,
+/// so only the home's lock table is shared, never a user lock.
+double measure_thread_lock(int nprocs) {
+  constexpr int kRounds = 100'000;
+  std::vector<double> runs;
+  for (int run = 0; run < 5; ++run) {
+    runtime::ThreadWorldConfig config;
+    config.nprocs = nprocs;
+    runtime::ThreadWorld world(config);
+    for (Rank r = 0; r < nprocs; ++r) {
+      const GlobalAddress area = world.alloc(0, 8, "lock" + std::to_string(r));
+      world.spawn(r, [area](runtime::ThreadProcess& p) {
+        for (int i = 0; i < kRounds; ++i) {
+          p.lock(area);
+          p.unlock(area);
+        }
+      });
+    }
+    const auto report = world.run();
+    DSMR_CHECK(report.completed);
+    runs.push_back(static_cast<double>(report.wall_ns) /
+                   (static_cast<double>(nprocs) * kRounds));
+  }
+  std::sort(runs.begin(), runs.end());
+  return runs[runs.size() / 2];
+}
+
 void print_summary() {
   {
     util::Table table({"get transfer bytes", "get ns", "put delay ns", "delayed?"});
@@ -141,6 +173,17 @@ void print_summary() {
                      util::Table::fmt_int(point.max_queue)});
     }
     print_table("=== NIC lock manager under hot-area contention (locked RMW) ===",
+                table);
+  }
+  {
+    util::Table table({"rank threads", "wall ns per lock+unlock"});
+    for (const int n : {1, 4}) {
+      const double ns = measure_thread_lock(n);
+      table.add_row({util::Table::fmt_int(static_cast<std::uint64_t>(n)),
+                     util::Table::fmt(ns, 1)});
+      json_add("thread_lock", {{"ranks", std::to_string(n)}}, ns);
+    }
+    print_table("=== Threaded user lock, each rank on its own area of one home ===",
                 table);
   }
 }

@@ -29,6 +29,17 @@ ThreadWorld::Node::Node(Rank rank, const ThreadWorldConfig& config)
     : segment(rank, config.segment_bytes, static_cast<std::size_t>(config.nprocs)),
       detector(static_cast<std::size_t>(config.nprocs), rank, config.stripes) {}
 
+ThreadWorld::UserLock& ThreadWorld::Node::user_lock(mem::AreaId id) {
+  std::lock_guard<std::mutex> guard(user_locks_mutex);
+  return user_locks.try_emplace(id).first->second;
+}
+
+ThreadWorld::UserLock* ThreadWorld::Node::find_user_lock(mem::AreaId id) {
+  std::lock_guard<std::mutex> guard(user_locks_mutex);
+  const auto it = user_locks.find(id);
+  return it == user_locks.end() ? nullptr : &it->second;
+}
+
 ThreadWorld::ThreadWorld(ThreadWorldConfig config)
     : config_(config), fabric_(config.nprocs) {
   DSMR_REQUIRE(config_.nprocs > 0, "ThreadWorld needs at least one rank");
@@ -75,9 +86,6 @@ mem::GlobalAddress ThreadWorld::alloc(Rank home, std::uint32_t bytes, std::strin
   Node& node = *nodes_[static_cast<std::size_t>(home)];
   const mem::AreaId id = node.segment.allocate_area(bytes, std::move(name));
   node.detector.register_area(id);
-  node.user_locks.push_back(std::make_unique<UserLock>());
-  DSMR_CHECK_MSG(node.user_locks.size() == node.segment.area_count(),
-                 "user-lock table out of step with the area table");
   if (config_.recorder != nullptr) {
     config_.recorder->register_area(home, id, bytes, node.segment.area(id).name);
   }
@@ -152,6 +160,13 @@ ThreadProcess& ThreadWorld::process(Rank rank) {
 detect::ShardedDetector& ThreadWorld::detector(Rank rank) {
   DSMR_REQUIRE(rank >= 0 && rank < config_.nprocs, "detector rank out of range");
   return nodes_[static_cast<std::size_t>(rank)]->detector;
+}
+
+std::size_t ThreadWorld::user_lock_count(Rank home) const {
+  DSMR_REQUIRE(home >= 0 && home < config_.nprocs, "user-lock home out of range");
+  Node& node = *nodes_[static_cast<std::size_t>(home)];
+  std::lock_guard<std::mutex> guard(node.user_locks_mutex);
+  return node.user_locks.size();
 }
 
 const record::Event* ThreadWorld::replay_enter(Rank rank, record::EventKind kind,
@@ -302,6 +317,13 @@ std::vector<std::byte> ThreadProcess::get(mem::GlobalAddress src, std::uint32_t 
   return data;
 }
 
+ThreadWorld::UserLock& ThreadProcess::user_lock(ThreadWorld::Node& node,
+                                                const mem::Area& area) {
+  ThreadWorld::UserLock*& found = user_locks_[&area];
+  if (found == nullptr) found = &node.user_lock(area.id);
+  return *found;
+}
+
 void ThreadProcess::lock(mem::GlobalAddress addr) {
   record::Recorder* const rec = world_.config_.recorder;
   auto [node, area] = resolve(addr, 1);
@@ -312,7 +334,7 @@ void ThreadProcess::lock(mem::GlobalAddress addr) {
   // the logged grant order, so the grant is immediate (the logged previous
   // holder's unlock has already executed and advanced the gate).
   world_.replay_enter(rank_, record::EventKind::kThreadLock, flat);
-  ThreadWorld::UserLock& user_lock = *node->user_locks[area->id];
+  ThreadWorld::UserLock& user_lock = this->user_lock(*node, *area);
   std::unique_lock<std::mutex> guard(user_lock.mutex);
   const std::uint64_t ticket = user_lock.next_ticket++;
   const bool granted = user_lock.turn.wait_until(
@@ -341,7 +363,12 @@ void ThreadProcess::unlock(mem::GlobalAddress addr) {
                                  ? recorded_area(addr.rank, area->id)
                                  : 0;
   world_.replay_enter(rank_, record::EventKind::kThreadUnlock, flat);
-  ThreadWorld::UserLock& user_lock = *node->user_locks[area->id];
+  // Only lock() creates lock state: a never-locked area has none to release.
+  const auto held = user_locks_.find(area);
+  ThreadWorld::UserLock* const found =
+      held != user_locks_.end() ? held->second : node->find_user_lock(area->id);
+  DSMR_REQUIRE(found != nullptr, "unlock of an unheld lock on area " << area->name);
+  ThreadWorld::UserLock& user_lock = *found;
   clock_.tick(rank_);
   {
     std::lock_guard<std::mutex> guard(user_lock.mutex);

@@ -39,6 +39,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "clocks/vector_clock.hpp"
@@ -109,8 +110,10 @@ class ThreadWorld {
   int nprocs() const { return config_.nprocs; }
 
   /// Registers `bytes` of shared data in `home`'s public memory. Pre-run
-  /// only: the area index and lock table are immutable once threads start,
-  /// which is what makes their concurrent lookup lock-free.
+  /// only: the area index is immutable once threads start, which is what
+  /// makes its concurrent lookup lock-free. No lock state is built here: an
+  /// area's user lock is created by its first lock(), so an area that is
+  /// never locked costs no lock state (as in the sim's nic::LockManager).
   mem::GlobalAddress alloc(Rank home, std::uint32_t bytes, std::string name);
 
   /// Installs the program for `rank` (a plain blocking function — ranks are
@@ -128,6 +131,9 @@ class ThreadWorld {
   ThreadProcess& process(Rank rank);
   /// Folded traffic ledger (per-rank shards merged; see ThreadFabric).
   net::TrafficCounters traffic() const { return fabric_.fold(); }
+  /// Areas of `home` whose user lock has been created, i.e. locked at least
+  /// once.
+  std::size_t user_lock_count(Rank home) const;
 
  private:
   friend class ThreadProcess;
@@ -138,6 +144,7 @@ class ThreadWorld {
 
   /// FIFO ticket lock backing one area's user-visible NIC lock, plus the
   /// release→acquire handoff clock (detect::HandoffRule::kOverwrite).
+  /// Created by the area's first lock(), never at registration.
   struct UserLock {
     std::mutex mutex;
     std::condition_variable turn;
@@ -155,8 +162,18 @@ class ThreadWorld {
     /// This home's detection state — V/W lanes plus the shard mutexes ops
     /// lock around their check/store/data-move critical sections.
     detect::ShardedDetector detector;
-    /// One lock per registered area, indexed by AreaId. Grown pre-run only.
-    std::vector<std::unique_ptr<UserLock>> user_locks;
+    /// The user lock of `id`, created on first call (a rank's first lock()).
+    UserLock& user_lock(mem::AreaId id);
+    /// The user lock of `id`, or null if the area was never locked.
+    UserLock* find_user_lock(mem::AreaId id);
+    /// User locks of the areas locked so far, keyed by AreaId. Unlike the
+    /// area index this table grows while threads run, under
+    /// `user_locks_mutex`, which is held only for the lookup or insert,
+    /// never while waiting for the user lock itself. Entries are never
+    /// erased before ~ThreadWorld and the map is node-based, so a UserLock&
+    /// stays valid after the mutex is released.
+    std::mutex user_locks_mutex;
+    std::unordered_map<mem::AreaId, UserLock> user_locks;
   };
   /// Blocks until the replay gate's cursor reaches an event owned by `rank`,
   /// then checks it is the expected (kind, detail) — a mismatch means the
@@ -243,11 +260,19 @@ class ThreadProcess {
   /// a recorder or replay log is attached.
   std::uint64_t recorded_area(Rank home, mem::AreaId area_id) const;
 
+  /// The user lock of `area`, created on first use. Looked up in this
+  /// rank's own `user_locks_` first, so only a rank's first lock() of an
+  /// area takes the home's lock-table mutex.
+  ThreadWorld::UserLock& user_lock(ThreadWorld::Node& node, const mem::Area& area);
+
   Rank rank_;
   ThreadWorld& world_;
   clocks::VectorClock clock_;
   std::uint64_t ops_ = 0;
   std::uint64_t checks_ = 0;
+  /// The user locks this rank has taken, keyed by area: entries of the
+  /// homes' tables, which are never erased, so the pointers stay valid.
+  std::unordered_map<const mem::Area*, ThreadWorld::UserLock*> user_locks_;
 };
 
 }  // namespace dsmr::runtime

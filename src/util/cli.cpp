@@ -129,6 +129,16 @@ std::int64_t Cli::get_int(const std::string& name, std::int64_t default_value) {
   return *value;
 }
 
+std::int64_t Cli::get_int_in(const std::string& name, std::int64_t default_value,
+                             std::int64_t lo, std::int64_t hi) {
+  const std::int64_t value = get_int(name, default_value);
+  if (value < lo || value > hi) {
+    usage_error(program_, "--" + name + " must be in [" + std::to_string(lo) + ", " +
+                              std::to_string(hi) + "], got " + std::to_string(value));
+  }
+  return value;
+}
+
 std::uint64_t Cli::get_uint(const std::string& name, std::uint64_t default_value) {
   consumed_[name] = true;
   const auto it = values_.find(name);

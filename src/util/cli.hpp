@@ -49,6 +49,11 @@ class Cli {
   Cli(int argc, char** argv, const std::string& usage);
 
   std::int64_t get_int(const std::string& name, std::int64_t default_value);
+  /// get_int, then exits 2 unless lo <= value <= hi. Callers narrow the
+  /// result (to int, uint32_t) only after this check, so an out-of-range
+  /// value is rejected instead of wrapping into range at the cast.
+  std::int64_t get_int_in(const std::string& name, std::int64_t default_value,
+                          std::int64_t lo, std::int64_t hi);
   /// Count-like flags: rejects signs outright, so "-1" is a loud error
   /// instead of wrapping to 2^64-1 at the cast site.
   std::uint64_t get_uint(const std::string& name, std::uint64_t default_value);

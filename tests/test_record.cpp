@@ -6,9 +6,12 @@
 // full dual-clock detection (the always-on production story).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fuzz/generate.hpp"
@@ -696,42 +699,52 @@ TEST(ThreadRecordReplay, ScheduleLuckRacesBecomeReplayable) {
   // against the area's LATEST access, so when R1 lands before R2 the read
   // clock rank 1's write sees is R2 (ordered → no flag) and the R1∥W race
   // is hidden; when R1 lands after R2 the write (or the late read) compares
-  // against a concurrent access and flags. Each attempt's `bias` sleep
-  // pushes the schedule toward one outcome so both manifest within a few
-  // tries.
-  const auto program = [](bool bias_race) {
-    return [bias_race](ThreadWorld& world) {
+  // against a concurrent access and flags. Each run forces one of the two
+  // orders with an out-of-band handshake: one rank spins until the other
+  // rank's read has returned. The handshake is no ThreadProcess call, so it
+  // adds no clock edge, and it holds under the replay gate too (the gate
+  // reproduces the same order).
+  const auto program = [](bool r1_after_r2) {
+    return [r1_after_r2](ThreadWorld& world) {
       const GlobalAddress x = world.alloc(0, 8, "x");
-      world.spawn(0, [x, bias_race](ThreadProcess& p) {
-        if (bias_race) p.sleep(40'000);  // let rank 1's read land first.
+      // Fresh per run: the record and each replay get their own handshake.
+      const auto read_done = std::make_shared<std::atomic<bool>>(false);
+      const auto wait_for_read = [read_done]() {
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!read_done->load() && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+      };
+      world.spawn(0, [x, r1_after_r2, read_done, wait_for_read](ThreadProcess& p) {
+        if (r1_after_r2) wait_for_read();
         p.get(x, 8);  // R1 — races with W on every schedule (ground truth).
+        if (!r1_after_r2) read_done->store(true);
       });
-      world.spawn(1, [x, bias_race](ThreadProcess& p) {
-        if (!bias_race) p.sleep(40'000);  // let rank 0's read land first.
-        p.get(x, 8);       // R2 — overwrites the area's read clock.
+      world.spawn(1, [x, r1_after_r2, read_done, wait_for_read](ThreadProcess& p) {
+        if (!r1_after_r2) wait_for_read();
+        p.get(x, 8);          // R2 — overwrites the area's read clock.
+        if (r1_after_r2) read_done->store(true);
         p.put(x, bytes8(2));  // W — sees R2, not R1, on the clean order.
       });
     };
   };
   const ThreadWorldConfig config = thread_config(2, core::DetectorMode::kDualClock);
-  bool seen_race = false;
-  bool seen_clean = false;
-  for (int attempt = 0; attempt < 40 && !(seen_race && seen_clean); ++attempt) {
-    const bool bias_race = attempt % 2 == 0;
-    const Log log = record_threaded(config, program(bias_race));
+  for (int attempt = 0; attempt < 8; ++attempt) {
+    const bool r1_after_r2 = attempt % 2 == 0;
+    SCOPED_TRACE(r1_after_r2 ? "R1 after R2" : "R1 before R2");
+    const Log log = record_threaded(config, program(r1_after_r2));
     ASSERT_TRUE(log.live.completed);
     // Whatever the schedule produced, the invariant holds: the fold and a
     // gated replay both reproduce this run's verdicts exactly.
     EXPECT_EQ(check_record_replay_bytes(log.serialize()), "");
-    const VerdictSignature replayed = replay_threaded(config, log, program(bias_race));
+    const VerdictSignature replayed = replay_threaded(config, log, program(r1_after_r2));
     EXPECT_EQ(replayed, log.live)
         << replayed.to_string() << " vs " << log.live.to_string();
-    (log.live.races.empty() ? seen_clean : seen_race) = true;
+    // The forced order decides the verdict exactly: a manifested
+    // schedule-luck race was recorded and flagged again on replay; the
+    // clean order of the same program replayed clean.
+    EXPECT_EQ(log.live.races.empty(), !r1_after_r2) << log.live.to_string();
   }
-  // A manifested schedule-luck race was recorded and flagged again on
-  // replay; a clean schedule of the same program replayed clean.
-  EXPECT_TRUE(seen_race);
-  EXPECT_TRUE(seen_clean);
 }
 
 TEST(ThreadRecordReplay, OffRecordingReplaysUnderDualClock) {

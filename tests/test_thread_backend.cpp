@@ -4,18 +4,24 @@
 // quiescent shutdown with join-all (stuck ranks instead of leaked threads),
 // the inline detection path on handwritten programs (which, in debug
 // builds, auto-cross-checks every verdict against check_access_oracle — see
-// core/rules.hpp), the per-thread NIC resolver cache hammered from many
-// threads, and the sharded traffic-counter fold.
+// core/rules.hpp), user-lock state created on first lock() (concurrently),
+// the per-thread NIC resolver cache hammered from many threads, and the
+// sharded traffic-counter fold.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "fuzz/generate.hpp"
 #include "fuzz/thread_harness.hpp"
@@ -273,6 +279,120 @@ TEST(ThreadBackend, ReadsDoNotRaceWithReadsUnderDualClock) {
   const auto report = world.run();
   EXPECT_TRUE(report.completed);
   EXPECT_EQ(report.race_count, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// User-lock state: created by an area's first lock(), never at registration
+// ---------------------------------------------------------------------------
+
+/// Out-of-band start line for rank bodies: no ThreadProcess call, so it
+/// adds no clock edge. Each caller arrives, then spins (yielding, bounded by
+/// a generous deadline) until all `parties` have arrived.
+void arrive_and_wait(std::atomic<int>& arrived, int parties) {
+  arrived.fetch_add(1);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (arrived.load() < parties && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+TEST(ThreadBackend, RegistrationCreatesNoUserLockState) {
+  ThreadWorldConfig config = small_world(2);
+  config.segment_bytes = 1 << 20;
+  ThreadWorld world(config);
+  std::vector<mem::GlobalAddress> areas;
+  for (int a = 0; a < 100'000; ++a) areas.push_back(world.alloc(0, 8, "a"));
+  EXPECT_EQ(world.user_lock_count(0), 0u);
+  // Data ops on registered areas take no user lock either.
+  world.spawn(1, [&areas](ThreadProcess& p) {
+    for (std::size_t a = 0; a < areas.size(); a += 1'000) {
+      p.put(areas[a], stamp_bytes(a));
+      p.get(areas[a], 8);
+    }
+  });
+  ASSERT_TRUE(world.run().completed);
+  EXPECT_EQ(world.user_lock_count(0), 0u);
+  EXPECT_EQ(world.user_lock_count(1), 0u);
+}
+
+TEST(ThreadBackend, ConcurrentFirstLocksCreateOneLockPerArea) {
+  constexpr int kRanks = 3;
+  constexpr int kRounds = 200;
+  // Targets: one fresh area, then two fresh areas whose ids collide mod the
+  // shard count (ids 0 and `stripes`), so their first locks also race on
+  // the same detector shard.
+  for (const std::size_t targets : {std::size_t{1}, std::size_t{2}}) {
+    for (int rep = 0; rep < 4; ++rep) {
+      SCOPED_TRACE(std::to_string(targets) + " target(s), rep " + std::to_string(rep));
+      ThreadWorldConfig config = small_world(kRanks);
+      ThreadWorld world(config);
+      std::vector<mem::GlobalAddress> areas;
+      for (int a = 0; a <= config.stripes; ++a) {
+        areas.push_back(world.alloc(0, 8, "area" + std::to_string(a)));
+      }
+      std::vector<mem::GlobalAddress> locked{areas.front()};
+      if (targets == 2) locked.push_back(areas.back());
+      // Plain counters, read and written only under the target's user lock:
+      // TSan flags them unless the lock really excludes.
+      std::vector<int> counters(targets, 0);
+      std::atomic<int> arrived{0};
+      for (Rank r = 0; r < kRanks; ++r) {
+        world.spawn(r, [&, r](ThreadProcess& p) {
+          arrive_and_wait(arrived, kRanks);  // every rank's first lock() at once.
+          for (int round = 0; round < kRounds; ++round) {
+            for (std::size_t k = 0; k < targets; ++k) {
+              // Ranks visit the targets in different orders, so each
+              // target's first lock races with the other's creation.
+              const std::size_t t = (k + static_cast<std::size_t>(r)) % targets;
+              p.lock(locked[t]);
+              ++counters[t];
+              p.get(locked[t], 8);
+              p.put(locked[t], stamp_bytes(static_cast<std::uint64_t>(round)));
+              p.unlock(locked[t]);
+            }
+          }
+        });
+      }
+      const auto report = world.run();
+      ASSERT_TRUE(report.completed);
+      for (std::size_t t = 0; t < targets; ++t) {
+        EXPECT_EQ(counters[t], kRanks * kRounds) << "target " << t;
+      }
+      EXPECT_EQ(report.race_count, 0u);
+      EXPECT_EQ(world.user_lock_count(0), targets);
+    }
+  }
+}
+
+/// The world whose unlock the death test below expects to abort; read only
+/// by that test's SIGABRT handler, in the dying child process.
+const ThreadWorld* dying_world = nullptr;
+
+TEST(ThreadBackendDeath, UnlockOfNeverLockedAreaDiesAndCreatesNoLockState) {
+  EXPECT_EXIT(
+      {
+        ThreadWorld world(small_world(2));
+        const auto held = world.alloc(0, 8, "held");
+        const auto never = world.alloc(0, 8, "never-locked");
+        world.spawn(0, [held, never](ThreadProcess& p) {
+          p.lock(held);
+          p.unlock(held);
+          p.unlock(never);
+        });
+        // The panic aborts on the rank thread after unlock() has released
+        // the lock-table mutex; the exit status reports what the table held
+        // at that moment: only `held`'s lock (3), or anything else (4).
+        // user_lock_count takes that mutex, which is not async-signal-safe:
+        // should a later abort fire with it held, the alarm (whose default
+        // action terminates) turns the hang into a failed exit status.
+        dying_world = &world;
+        std::signal(SIGABRT, [](int) {
+          alarm(10);
+          std::_Exit(dying_world->user_lock_count(0) == 1 ? 3 : 4);
+        });
+        world.run();
+      },
+      testing::ExitedWithCode(3), "unlock of an unheld lock on area never-locked");
 }
 
 // ---------------------------------------------------------------------------

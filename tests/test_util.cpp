@@ -325,5 +325,19 @@ TEST(CliDeath, UsageErrorsExitWithStatusTwoNotAnAbort) {
               "flags must start with --, got: stray");
 }
 
+TEST(CliDeath, OutOfRangeIntExitsTwoBeforeNarrowing) {
+  // 2^32 + 3 would wrap to 3 at a static_cast<int>; the range check sees the
+  // full 64-bit value first.
+  const char* argv[] = {"prog", "--ranks", "4294967299", "--reps", "0", "--ok", "3"};
+  Cli cli(7, const_cast<char**>(argv), "usage");
+  const auto two = ::testing::ExitedWithCode(2);
+  constexpr std::int64_t kIntMax = 2147483647;
+  EXPECT_EXIT(cli.get_int_in("ranks", 3, 1, kIntMax), two,
+              "--ranks must be in \\[1, 2147483647\\], got 4294967299");
+  EXPECT_EXIT(cli.get_int_in("reps", 3, 1, kIntMax), two, "--reps must be in");
+  EXPECT_EQ(cli.get_int_in("ok", 1, 1, 8), 3);
+  EXPECT_EQ(cli.get_int_in("absent", 5, 1, 8), 5);
+}
+
 }  // namespace
 }  // namespace dsmr::util

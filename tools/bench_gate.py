@@ -45,6 +45,12 @@ Three classes of metric, treated differently:
   ratio exceeds the ceiling (default 10.0): a return to the O(n) sorted-
   vector insert shows up as a ratio in the hundreds, while cache effects
   on a healthy amortized path stay single-digit.
+* registered-area footprint (``thread_alloc``) — heap bytes per area of
+  ThreadWorld::alloc at 10^6 8-byte areas on one home, carried in the
+  entry's bytes_per_op. Fails above a fixed ceiling (170 B/area):
+  per-area state built eagerly at registration (a lock, a clock, a name)
+  shows up here before any op runs. Heap bytes depend on the allocator, so
+  this entry is gated by the ceiling alone, never by exact baseline match.
 
 Both commands accept several JSON files (one per bench binary); their
 entries are merged before comparing or refreshing.
@@ -141,6 +147,21 @@ def registration_ns(entries):
             if name == "detect_registration"}
 
 
+# Entries whose bytes_per_op is allocator-dependent heap usage, gated by a
+# fixed ceiling instead of exact equality with the baseline.
+CEILING_GATED = {"thread_alloc"}
+# Heap bytes per registered area above which thread_alloc fails: 1.19x the
+# 143 B/area of lazy lock creation; eager per-area lock state read 360.
+AREA_BYTES_CEILING = 170.0
+
+
+def thread_alloc_bytes(entries):
+    """Heap bytes per registered area keyed by area count, from thread_alloc."""
+    return {int(dict(params)["areas"]): entry["bytes_per_op"]
+            for (name, params), entry in entries.items()
+            if name == "thread_alloc"}
+
+
 def record_ratios(entries):
     """Median recorded/plain pair ratio per base config, from record_op_ratio."""
     return {dict(params)["config"]: entry["ns_per_op"]
@@ -169,7 +190,8 @@ def compare(args):
                     f"{name} {dict(params)}: virtual ns drifted "
                     f"{base['ns_per_op']} -> {now['ns_per_op']} (deterministic metric; "
                     f"refresh the baseline if intentional)")
-        if now.get("bytes_per_op", 0) != base.get("bytes_per_op", 0):
+        if (name not in CEILING_GATED
+                and now.get("bytes_per_op", 0) != base.get("bytes_per_op", 0)):
             failures.append(
                 f"{name} {dict(params)}: bytes/op drifted "
                 f"{base.get('bytes_per_op')} -> {now.get('bytes_per_op')} "
@@ -278,6 +300,19 @@ def compare(args):
         else:
             failures.append("detect_registration needs two distinct area "
                             "counts to gate on")
+        # Same bench binary: its output must carry the footprint entry too.
+        area_bytes = thread_alloc_bytes(fresh)
+        if not area_bytes:
+            failures.append("no thread_alloc entry found to gate the "
+                            "per-area footprint on")
+        for areas, per_area in sorted(area_bytes.items()):
+            print(f"registered-area footprint: {per_area:.1f} heap B/area at "
+                  f"{areas} areas (ceiling {AREA_BYTES_CEILING:.0f})")
+            if per_area > AREA_BYTES_CEILING:
+                failures.append(
+                    f"ThreadWorld::alloc holds {per_area:.1f} heap B/area at "
+                    f"{areas} areas, above the {AREA_BYTES_CEILING:.0f} "
+                    f"B/area ceiling")
 
     for failure in failures:
         print(f"BENCH GATE FAILURE: {failure}", file=sys.stderr)

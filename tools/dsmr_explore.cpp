@@ -66,6 +66,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -530,14 +531,18 @@ int main(int argc, char** argv) {
   const bool list = cli.get_flag("list");
   const bool exhaustive = cli.get_flag("exhaustive");
   const std::string scenario_csv = cli.get_string("scenario", "all");
-  const auto ranks = static_cast<int>(cli.get_int("ranks", exhaustive ? 3 : 4));
+  // Range-checked before narrowing: an out-of-range value exits 2 instead
+  // of wrapping into range at the cast.
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  const auto ranks =
+      static_cast<int>(cli.get_int_in("ranks", exhaustive ? 3 : 4, 1, kIntMax));
   const auto default_first = cli.get_uint("first-seed", 1);
   const auto seed_range = cli.get_seed_range(
       "seeds", util::SeedRange{default_first, exhaustive ? 64u : 32u});
   const std::uint64_t seeds = seed_range.count;
   const std::uint64_t first_seed = seed_range.first;
-  const auto threads =
-      static_cast<int>(cli.get_int("threads", util::ThreadPool::hardware_threads()));
+  const auto threads = static_cast<int>(
+      cli.get_int_in("threads", util::ThreadPool::hardware_threads(), 1, kIntMax));
   const auto perturbations = cli.get_uint("perturbations", 2);
   const std::int64_t perturb_min_raw = cli.get_int("perturb-min", 0);
   const std::int64_t perturb_max_raw = cli.get_int("perturb-max", 4'000);
@@ -552,7 +557,8 @@ int main(int argc, char** argv) {
   params.planted_fraction = cli.get_double("planted-fraction", 0.5);
   params.max_interleavings =
       cli.get_uint("max-interleavings", params.max_interleavings);
-  params.max_ops = static_cast<int>(cli.get_int("max-ops", params.max_ops));
+  params.max_ops =
+      static_cast<int>(cli.get_int_in("max-ops", params.max_ops, 1, kIntMax));
   params.max_witnesses =
       static_cast<std::size_t>(cli.get_uint("max-witnesses", 4));
   params.witness_dir = cli.get_string("witness-dir", "");
@@ -613,6 +619,13 @@ int main(int argc, char** argv) {
         return 2;
       }
       selected.push_back(scenario);
+    }
+  }
+  for (const auto* scenario : selected) {
+    if (ranks < scenario->min_ranks) {
+      std::fprintf(stderr, "--scenario %s needs --ranks >= %d\n", scenario->name.c_str(),
+                   scenario->min_ranks);
+      return 2;
     }
   }
 

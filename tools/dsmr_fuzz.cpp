@@ -160,20 +160,6 @@ struct FailureRecord {
   std::size_t ops_after = 0;
 };
 
-/// Reads an integer flag that must lie in [1, max] and exits 2 outside it —
-/// checked before the caller narrows it, so no value wraps or reaches a
-/// generator precondition.
-std::int64_t bounded_flag(util::Cli& cli, const char* name, std::int64_t default_value,
-                          std::int64_t max) {
-  const std::int64_t value = cli.get_int(name, default_value);
-  if (value < 1 || value > max) {
-    std::fprintf(stderr, "--%s must be in [1, %lld], got %lld\n", name,
-                 static_cast<long long>(max), static_cast<long long>(value));
-    std::exit(2);
-  }
-  return value;
-}
-
 /// Parses `--bug-kinds` ("all" or a comma list); exits 2 on unknown names.
 std::vector<fuzz::BugKind> parse_bug_kinds_or_die(const std::string& text) {
   if (text == "all") return fuzz::all_bug_kinds();
@@ -219,8 +205,9 @@ int main(int argc, char** argv) {
                 "[--stripes N] [--thread-timeout-ms MS] [--verbose] | "
                 "--replay FILE");
   const std::string replay_path = cli.get_string("replay", "");
-  const auto threads = static_cast<int>(bounded_flag(
-      cli, "threads", util::ThreadPool::hardware_threads(), std::numeric_limits<int>::max()));
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  const auto threads = static_cast<int>(
+      cli.get_int_in("threads", util::ThreadPool::hardware_threads(), 1, kIntMax));
   if (!replay_path.empty()) {
     cli.finish();
     return run_replay(replay_path, threads);
@@ -238,14 +225,14 @@ int main(int argc, char** argv) {
     return 2;
   }
   // Shape flags against the generator's caps (fuzz/program.hpp).
-  gen.nprocs = static_cast<int>(bounded_flag(cli, "ranks", gen.nprocs, fuzz::kMaxProcs));
-  gen.areas = static_cast<int>(bounded_flag(cli, "areas", gen.areas, fuzz::kMaxAreas));
-  gen.phases = static_cast<int>(bounded_flag(cli, "phases", gen.phases,
-                                             static_cast<std::int64_t>(fuzz::kMaxPhases)));
-  gen.max_ops_per_rank = static_cast<int>(bounded_flag(
-      cli, "ops", gen.max_ops_per_rank, static_cast<std::int64_t>(fuzz::kMaxOpsPerRank)));
+  gen.nprocs = static_cast<int>(cli.get_int_in("ranks", gen.nprocs, 1, fuzz::kMaxProcs));
+  gen.areas = static_cast<int>(cli.get_int_in("areas", gen.areas, 1, fuzz::kMaxAreas));
+  gen.phases = static_cast<int>(cli.get_int_in(
+      "phases", gen.phases, 1, static_cast<std::int64_t>(fuzz::kMaxPhases)));
+  gen.max_ops_per_rank = static_cast<int>(cli.get_int_in(
+      "ops", gen.max_ops_per_rank, 1, static_cast<std::int64_t>(fuzz::kMaxOpsPerRank)));
   gen.area_bytes = static_cast<std::uint32_t>(
-      bounded_flag(cli, "area-bytes", gen.area_bytes, fuzz::kMaxAreaBytes));
+      cli.get_int_in("area-bytes", gen.area_bytes, 1, fuzz::kMaxAreaBytes));
   double planted_fraction = cli.get_double("planted-fraction", 0.5);
   const std::string schedule_text = cli.get_string("schedule", "uniform");
   const auto schedule = fuzz::parse_schedule_mode(schedule_text);
@@ -320,17 +307,12 @@ int main(int argc, char** argv) {
       std::any_of(fault_plans.begin(), fault_plans.end(),
                   [](const net::FaultPlan& p) { return p.drop_live_reports; });
   const std::string backend = cli.get_string("backend", "sim");
-  const auto thread_reps = static_cast<int>(cli.get_int("thread-reps", 3));
+  const auto thread_reps = static_cast<int>(cli.get_int_in("thread-reps", 3, 1, kIntMax));
   const auto sim_seeds = cli.get_uint("sim-seeds", 2);
-  const auto stripes = static_cast<int>(cli.get_int("stripes", 8));
-  const auto thread_timeout_ms = cli.get_int("thread-timeout-ms", 10'000);
+  const auto stripes = static_cast<int>(cli.get_int_in("stripes", 8, 1, kIntMax));
+  const auto thread_timeout_ms = cli.get_int_in("thread-timeout-ms", 10'000, 1, kIntMax);
   if (backend != "sim" && backend != "threaded" && backend != "both") {
     std::fprintf(stderr, "unknown --backend %s (sim|threaded|both)\n", backend.c_str());
-    return 2;
-  }
-  if (thread_reps <= 0 || stripes <= 0 || thread_timeout_ms <= 0) {
-    std::fprintf(stderr,
-                 "--thread-reps, --stripes and --thread-timeout-ms must be positive\n");
     return 2;
   }
   const bool verbose = cli.get_flag("verbose");
