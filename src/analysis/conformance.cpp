@@ -26,6 +26,7 @@ const char* to_string(RaceExpectation e) {
   switch (e) {
     case RaceExpectation::kNever: return "never";
     case RaceExpectation::kSometimes: return "sometimes";
+    case RaceExpectation::kAlways: return "always";
   }
   return "?";
 }
@@ -45,20 +46,20 @@ std::vector<Scenario> make_builtin_scenarios() {
   s.push_back({"master_worker",
                "workers put results into one master slot — the paper's §IV.D "
                "benign intentional race",
-               RaceExpectation::kSometimes, 2, false, [](World& w) {
+               RaceExpectation::kSometimes, 2, [](World& w) {
                  workload::MasterWorkerConfig c;
                  c.tasks_per_worker = 2;
                  workload::spawn_master_worker(w, c);
                }});
   s.push_back({"stencil", "barrier-synchronized 1-D Jacobi halo exchange",
-               RaceExpectation::kNever, 2, false, [](World& w) {
+               RaceExpectation::kNever, 2, [](World& w) {
                  workload::StencilConfig c;
                  c.cells_per_rank = 6;
                  c.iters = 3;
                  workload::spawn_stencil(w, c);
                }});
   s.push_back({"stencil_buggy", "stencil with every barrier dropped",
-               RaceExpectation::kSometimes, 2, false, [](World& w) {
+               RaceExpectation::kSometimes, 2, [](World& w) {
                  workload::StencilConfig c;
                  c.cells_per_rank = 6;
                  c.iters = 3;
@@ -68,7 +69,7 @@ std::vector<Scenario> make_builtin_scenarios() {
   s.push_back({"stencil_sparse",
                "stencil barrier-synchronized only every 2nd iteration — the "
                "race is schedule-dependent",
-               RaceExpectation::kSometimes, 2, false, [](World& w) {
+               RaceExpectation::kSometimes, 2, [](World& w) {
                  workload::StencilConfig c;
                  c.cells_per_rank = 6;
                  c.iters = 4;
@@ -77,7 +78,7 @@ std::vector<Scenario> make_builtin_scenarios() {
                }});
   s.push_back({"histogram_locked",
                "remote read-modify-write on shared bins under NIC area locks",
-               RaceExpectation::kNever, 1, false, [](World& w) {
+               RaceExpectation::kNever, 1, [](World& w) {
                  workload::HistogramConfig c;
                  c.bins = 8;
                  c.increments_per_rank = 6;
@@ -87,7 +88,7 @@ std::vector<Scenario> make_builtin_scenarios() {
   s.push_back({"histogram",
                "unlocked remote read-modify-write — lost updates under "
                "contention, manifestation is schedule luck",
-               RaceExpectation::kSometimes, 1, false, [](World& w) {
+               RaceExpectation::kSometimes, 1, [](World& w) {
                  workload::HistogramConfig c;
                  c.bins = 8;
                  c.increments_per_rank = 6;
@@ -96,13 +97,13 @@ std::vector<Scenario> make_builtin_scenarios() {
   s.push_back({"pipeline",
                "token ring ordered purely by signals and backpressure — "
                "race-free without barriers or locks",
-               RaceExpectation::kNever, 2, false, [](World& w) {
+               RaceExpectation::kNever, 2, [](World& w) {
                  workload::PipelineConfig c;
                  c.tokens = 6;
                  workload::spawn_pipeline(w, c);
                }});
   s.push_back({"pipeline_nobackpressure", "token ring with the credits removed",
-               RaceExpectation::kSometimes, 2, false, [](World& w) {
+               RaceExpectation::kSometimes, 2, [](World& w) {
                  workload::PipelineConfig c;
                  c.tokens = 6;
                  c.backpressure = false;
@@ -111,14 +112,14 @@ std::vector<Scenario> make_builtin_scenarios() {
   s.push_back({"pipeline_window2",
                "token ring whose producers run 2 tokens ahead of the acks — "
                "races only when the producer outpaces the consumer",
-               RaceExpectation::kSometimes, 2, false, [](World& w) {
+               RaceExpectation::kSometimes, 2, [](World& w) {
                  workload::PipelineConfig c;
                  c.tokens = 6;
                  c.ack_window = 2;
                  workload::spawn_pipeline(w, c);
                }});
   s.push_back({"random", "mixed puts/gets over shared areas, no synchronization",
-               RaceExpectation::kSometimes, 1, false, [](World& w) {
+               RaceExpectation::kSometimes, 1, [](World& w) {
                  workload::RandomConfig c;
                  c.areas = 4;
                  c.ops_per_proc = 12;
@@ -127,7 +128,7 @@ std::vector<Scenario> make_builtin_scenarios() {
                }});
   s.push_back({"random_locked",
                "the same mixed ops with every access wrapped in its area lock",
-               RaceExpectation::kNever, 1, false, [](World& w) {
+               RaceExpectation::kNever, 1, [](World& w) {
                  workload::RandomConfig c;
                  c.areas = 4;
                  c.ops_per_proc = 12;
@@ -407,11 +408,11 @@ ConformanceReport run_conformance(const Scenario& scenario,
     runtime::World world(config);
     // Invariant 6 — record→replay: the ordering log this run emits, taken
     // through the full serialize→parse→fold pipeline, must reproduce the
-    // live verdict signature on this exact coordinate.
-    const bool record =
-        options.record_replay_check &&
-        (config.mode == core::DetectorMode::kOff ||
-         config.transport == core::Transport::kHomeSide);
+    // live verdict signature on this exact coordinate. Skipped on the wire
+    // layouts recording does not support (non-home-side transports with the
+    // detector on).
+    const bool record = config.mode == core::DetectorMode::kOff ||
+                        config.transport == core::Transport::kHomeSide;
     std::optional<record::Recorder> recorder;
     if (record) {
       recorder.emplace(static_cast<std::uint32_t>(config.nprocs),
@@ -468,7 +469,7 @@ ConformanceReport run_conformance(const Scenario& scenario,
     if (!run.completed) {
       ++summary.incomplete_runs;
       if (!run.diagnostic.empty()) ++summary.watchdog_runs;
-      if (!scenario.may_deadlock) diverge(run, "unexpected-deadlock", run.diagnostic);
+      diverge(run, "unexpected-deadlock", run.diagnostic);
       // check_run bails early on incomplete runs, but the record→replay
       // invariant still applies (the footer carries the stuck verdict).
       split_failed_checks(run);
@@ -503,16 +504,19 @@ ConformanceReport run_conformance(const Scenario& scenario,
     if (run.fault.recoverable()) {
       if (!run.completed) {
         if (base.completed) diverge(run, "fault-not-recovered", run.diagnostic);
-        // Base deadlocked too (may_deadlock scenario): nothing to hold the
-        // fault run to — but the record→replay invariant still applies.
+        // Base deadlocked too (already an unexpected-deadlock): nothing to
+        // hold the fault run to — but the record→replay invariant still
+        // applies.
         split_failed_checks(run);
         continue;
       }
       split_failed_checks(run);
       const bool transparent = base.completed && run.signature == base.signature;
       if (transparent) ++summary.fault_transparent_runs;
-      if (options.expect_fault_transparency &&
-          scenario.expect == RaceExpectation::kNever && base.completed &&
+      // Schedule-invariant verdicts must survive a recoverable fault
+      // bit-for-bit; kSometimes manifestation is schedule luck, which faults
+      // legitimately re-roll.
+      if (scenario.expect != RaceExpectation::kSometimes && base.completed &&
           !transparent) {
         std::ostringstream detail;
         detail << "verdicts differ from fault-free run: base " << base.live_reports

@@ -34,17 +34,22 @@
 // non-empty the grid becomes (seed × perturbation × (base + plans)) and two
 // robustness invariants join the differential checks:
 //  * fault-transparency — a *recoverable* plan (bounded loss/dup/delay,
-//    healing partitions, crash–restart) must leave the verdicts of a kNever
-//    scenario bit-identical to the fault-free run of the same (seed,
-//    perturbation): the reliable transport hides the fault. Verdicts are
-//    compared by a logical signature keyed on (rank, per-rank event index),
-//    since raw event-log ids shift when retries reshuffle global scheduling.
+//    healing partitions, crash–restart) must leave the verdicts of every
+//    scenario whose race status is schedule-invariant (kNever, kAlways)
+//    bit-identical to the fault-free run of the same (seed, perturbation):
+//    the reliable transport hides the fault. Verdicts are compared by a
+//    logical signature keyed on (rank, per-rank event index), since raw
+//    event-log ids shift when retries reshuffle global scheduling.
 //    kSometimes scenarios are exempt: their manifestation is schedule luck,
 //    which faults legitimately re-roll.
 //  * clean-failure — an *unrecoverable* plan (permanent crash or partition)
 //    must end in the quiescence watchdog's structured diagnostic: never a
 //    hang (event-cap hit), never a silent stop, and if the run does manage
 //    to complete, never verdicts that differ from the fault-free schedule.
+//
+// This is the one grid every differential check runs on: the built-in
+// scenarios (dsmr_explore) and the sim leg of every generated program
+// (fuzz::check_program, `dsmr_fuzz --backend sim|both`).
 #pragma once
 
 #include <cstdint>
@@ -63,6 +68,7 @@ namespace dsmr::analysis {
 enum class RaceExpectation {
   kNever,      ///< correctly synchronized: any report or truth pair is a failure.
   kSometimes,  ///< known-buggy or intentionally racy: manifestation is tracked.
+  kAlways,     ///< racy on every schedule: the verdict is schedule-invariant.
 };
 const char* to_string(RaceExpectation e);
 
@@ -73,7 +79,6 @@ struct Scenario {
   std::string description;
   RaceExpectation expect = RaceExpectation::kNever;
   int min_ranks = 2;           ///< spawn precondition (e.g. master + worker).
-  bool may_deadlock = false;   ///< none of the builtins; hook for user scenarios.
   WorkloadFn spawn;
 };
 
@@ -151,20 +156,9 @@ struct ConformanceOptions {
   /// Fault plans to run *in addition to* the fault-free base of every
   /// (seed, perturbation) point; the grid is plan-minor, so each base run
   /// directly precedes its fault variants in `runs`. Plans must be
-  /// wire-enabled (net::FaultPlan::wire_enabled).
+  /// wire-enabled (net::FaultPlan::wire_enabled). Recoverable plans are held
+  /// to fault-transparency unless the scenario expects kSometimes.
   std::vector<net::FaultPlan> fault_plans;
-  /// Enforce the fault-transparency invariant on recoverable plans (kNever
-  /// scenarios only — kSometimes manifestation is schedule luck that faults
-  /// legitimately re-roll). The clean-failure invariant on unrecoverable
-  /// plans is always enforced.
-  bool expect_fault_transparency = true;
-  /// Attach an ordering recorder (record/recorder.hpp) to every grid run and
-  /// require that the serialized log, parsed back and folded offline through
-  /// core::check_access, reproduces the live verdict signature exactly — on
-  /// every (seed, perturbation, fault plan) coordinate. Skipped silently on
-  /// wire layouts recording does not support (non-home-side transports with
-  /// the detector on).
-  bool record_replay_check = true;
 };
 
 struct ConformanceReport {
@@ -180,7 +174,9 @@ struct ConformanceReport {
   std::uint64_t lockset_divergences = 0;  ///< informational, never failures.
   std::uint64_t fault_runs = 0;              ///< runs under a fault plan.
   std::uint64_t fault_transparent_runs = 0;  ///< fault runs verdict-identical to base.
-  std::uint64_t record_replay_checked = 0;   ///< runs with the record→fold invariant on.
+  /// Runs whose ordering log folded back to the live verdicts: every run on
+  /// a wire layout recording supports (detector off, or home-side transport).
+  std::uint64_t record_replay_checked = 0;
   std::uint64_t watchdog_runs = 0;  ///< non-quiescent runs that produced a diagnostic.
   double min_area_recall = 1.0;           ///< worst "was the datum flagged" score.
   std::vector<Divergence> disagreements;  ///< hard failures.

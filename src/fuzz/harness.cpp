@@ -33,6 +33,7 @@ ProgramVerdict check_program(const Program& program, const FuzzCheckOptions& opt
 
   analysis::ConformanceOptions grid;
   grid.base.nprocs = program.nprocs;
+  grid.base.segment_bytes = segment_bytes(program);
   // The generator's cleanliness discipline assumes the default detection
   // regime; a different config would need a different construction proof.
   DSMR_REQUIRE(grid.base.acked_puts && grid.base.lock_clock_handoff &&
@@ -42,17 +43,15 @@ ProgramVerdict check_program(const Program& program, const FuzzCheckOptions& opt
   grid.seeds = options.schedule_seeds;
   grid.threads = options.threads;
   grid.perturbations = options.perturbations;
-  // Wire-enabled plans ride the conformance fault axis; the harness runs its
-  // own (stricter) transparency check below, so the scenario-expectation-
-  // gated one in run_conformance is off. A drop-live-reports flag on any
-  // plan arms the detector-silence hook for the whole grid — that hook
-  // breaks the harness's *view* of the detector, not the wire.
+  // Wire-enabled plans ride the conformance fault axis, where the
+  // scenario's expectation decides fault-transparency. A drop-live-reports
+  // flag on any plan arms the detector-silence hook for the whole grid —
+  // that hook breaks the harness's *view* of the detector, not the wire.
   bool drop_live = false;
   for (const auto& plan : options.fault_plans) {
     if (plan.drop_live_reports) drop_live = true;
     if (plan.wire_enabled()) grid.fault_plans.push_back(plan);
   }
-  grid.expect_fault_transparency = false;
   // Plan-minor run order: index % nplans == 0 is the fault-free base run of
   // its (seed, perturbation) point.
   const std::size_t nplans = 1 + grid.fault_plans.size();
@@ -69,7 +68,7 @@ ProgramVerdict check_program(const Program& program, const FuzzCheckOptions& opt
 
   // Fuzz-only invariants from the construction guarantees. They quantify
   // over the fault-free grid: a fault variant is a different (but still
-  // legal) schedule, held to the transparency check below instead.
+  // legal) schedule, held to the grid's fault-transparency instead.
   if (program.expect == Expectation::kRacy) {
     // An always-racy planted pair is concurrent on every schedule, so every
     // completed run must see it — in ground truth, in both detector modes'
@@ -142,37 +141,6 @@ ProgramVerdict check_program(const Program& program, const FuzzCheckOptions& opt
     }
   }
 
-  // Fault-transparency, fuzz-strength: kClean and kRacy verdicts are
-  // schedule-*invariant* by construction (zero truth pairs everywhere;
-  // exactly the planted pair everywhere), so a recoverable fault plan must
-  // leave the logical verdict signature — ground truth, live reports, the
-  // dual-clock replay, and the racy areas — bit-identical to the fault-free
-  // run of the same (seed, perturbation), not merely "still legal". The
-  // signature deliberately omits the single-clock replay's pair set: its
-  // read verdicts are approximate (§IV.D) and apply-order-dependent, so
-  // retransmission delay legitimately flips them even on clean programs.
-  // kSometimes is exempt entirely: faults re-roll schedule luck. The
-  // unrecoverable-plan clean-failure invariants already fired inside
-  // run_conformance.
-  if (program.expect != Expectation::kSometimes) {
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      if (i % nplans == 0) continue;
-      const auto& run = runs[i];
-      const auto& base = runs[i - i % nplans];
-      if (!run.fault.recoverable() || !run.completed || !base.completed) continue;
-      if (run.signature != base.signature) {
-        std::ostringstream detail;
-        detail << "verdicts differ from fault-free run: base " << base.truth_pairs
-               << " truth pairs/" << base.live_reports << " reports, faulted "
-               << run.truth_pairs << " truth pairs/" << run.live_reports
-               << " reports";
-        verdict.failures.push_back(analysis::Divergence{
-            scenario.name, run.seed, run.perturb, run.fault, "fault-transparency",
-            detail.str(), "", "", ""});
-      }
-    }
-  }
-
   // The exhaustive invariant (ROADMAP item 4): small programs get every
   // reduced interleaving of the threaded op model, turning the sampled
   // grid's rates into proofs — a kSometimes bug must EXIST somewhere in
@@ -207,6 +175,105 @@ ProgramVerdict check_program(const Program& program, const FuzzCheckOptions& opt
     }
   }
   return verdict;
+}
+
+const char* to_string(Backend backend) {
+  switch (backend) {
+    case Backend::kSim: return "sim";
+    case Backend::kThreaded: return "threaded";
+    case Backend::kBoth: return "both";
+  }
+  return "?";
+}
+
+std::optional<Backend> parse_backend(const std::string& text) {
+  for (const Backend backend : {Backend::kSim, Backend::kThreaded, Backend::kBoth}) {
+    if (text == to_string(backend)) return backend;
+  }
+  return std::nullopt;
+}
+
+namespace {
+
+std::string ranks_to_string(const std::vector<Rank>& ranks) {
+  std::string out;
+  for (const Rank r : ranks) {
+    if (!out.empty()) out += ",";
+    out += std::to_string(r);
+  }
+  return out;
+}
+
+ThreadLegResult check_threaded(const Program& program, const BackendDiffOptions& options) {
+  ThreadLegResult result;
+  const std::string planted_area =
+      program.planted ? "fz" + std::to_string(program.planted->area) : "";
+  auto fail = [&result](std::string what) { result.failures.push_back(std::move(what)); };
+
+  for (int rep = 0; rep < options.thread_reps; ++rep) {
+    const auto outcome = run_program_threaded(program, options.thread);
+    ++result.runs;
+    result.checks += outcome.report.checks;
+    result.wall_ns += outcome.report.wall_ns;
+    if (!outcome.report.completed) {
+      fail("threaded run " + std::to_string(rep) + " stuck (ranks " +
+           ranks_to_string(outcome.report.stuck_ranks) +
+           ") — generated programs are deadlock-free");
+      continue;
+    }
+    if (!outcome.racy_areas.empty()) ++result.manifested;
+    if (program.expect == Expectation::kClean && !outcome.racy_areas.empty()) {
+      fail("clean program raced on threaded run " + std::to_string(rep) + ": area " +
+           *outcome.racy_areas.begin());
+    }
+    if (program.expect == Expectation::kRacy && outcome.racy_areas.count(planted_area) == 0) {
+      fail("planted race missed on threaded run " + std::to_string(rep) + ": area " +
+           planted_area);
+    }
+    // kSometimes: manifestation is schedule luck — counted, never failed on.
+  }
+
+  // Record → replay determinism: one extra recorded run, whose log must fold
+  // offline AND gate-replay (twice) to the recorded verdicts. kSometimes
+  // included: whatever this schedule manifested is now a pinned, replayable
+  // coordinate.
+  const runtime::ThreadWorldConfig regime;
+  record::Recorder recorder(static_cast<std::uint32_t>(program.nprocs),
+                            record::Backend::kThread, regime.mode,
+                            regime.lock_clock_handoff, regime.acked_puts);
+  ThreadRunOptions recording = options.thread;
+  recording.recorder = &recorder;
+  const auto live = run_program_threaded(program, recording);
+  result.checks += live.report.checks;
+  result.wall_ns += live.report.wall_ns;
+  const record::Log& log = recorder.log();
+  const std::string fold = record::check_record_replay(log);
+  if (!fold.empty()) fail("record fold: " + fold);
+  ThreadRunOptions replaying = options.thread;
+  replaying.replay = &log;
+  const record::AreaIndex areas = record::make_area_index(log.areas);
+  for (int rep = 0; rep < 2; ++rep) {
+    const auto outcome = run_program_threaded(program, replaying);
+    const record::VerdictSignature sig = record::make_signature(
+        areas, outcome.reports, outcome.report.completed, outcome.report.stuck_ranks);
+    if (!(sig == log.live)) {
+      fail("replay " + std::to_string(rep) + " diverged from its recorded run: " +
+           sig.to_string() + " vs " + log.live.to_string());
+    }
+  }
+  ++result.record_replay_checks;
+  return result;
+}
+
+}  // namespace
+
+BackendDiffResult check_program_backends(const Program& program,
+                                         const FuzzCheckOptions& sim,
+                                         const BackendDiffOptions& options) {
+  BackendDiffResult result;
+  if (options.backend != Backend::kThreaded) result.sim = check_program(program, sim);
+  if (options.backend != Backend::kSim) result.thread = check_threaded(program, options);
+  return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -389,6 +456,7 @@ std::vector<std::byte> record_coordinate(const Program& program,
 
   runtime::WorldConfig config;
   config.nprocs = program.nprocs;
+  config.segment_bytes = segment_bytes(program);
   config.seed = schedule_seed;
   config.perturb = perturb;
   config.fault = fault;
@@ -613,23 +681,24 @@ struct Draw {
   std::string arm;
 };
 
-SweepOutcome run_draw(const Draw& draw, const FuzzCheckOptions& check,
-                      bool verbose, const std::string& record_dir) {
+SweepOutcome run_draw(const Draw& draw, const FuzzSweepConfig& config) {
   const auto program = generate_program(draw.gen);
-  FuzzCheckOptions options = check;
+  FuzzCheckOptions options = config.check;
   options.scenario_name = "fuzz-s" + std::to_string(draw.program_seed);
-  const auto verdict = check_program(program, options);
+  // A threaded leg holds the pool to one worker; the sim grid, which runs
+  // before the rank threads start, gets the sweep's threads instead.
+  if (config.diff.backend != Backend::kSim) options.threads = config.threads;
+  BackendDiffResult legs = check_program_backends(program, options, config.diff);
   bool recorded = false;
-  if (!record_dir.empty()) {
+  if (!config.record_dir.empty()) {
     // Always-on recording: the base coordinate's ordering log, one file per
     // executed program. Distinct filenames, so pool workers never collide.
     const auto bytes = record_coordinate(
-        program, draw.program_seed, check.first_schedule_seed,
-        check.perturbations.empty() ? sim::PerturbConfig{}
-                                    : check.perturbations.front(),
+        program, draw.program_seed, options.first_schedule_seed,
+        options.perturbations.empty() ? sim::PerturbConfig{} : options.perturbations.front(),
         net::FaultPlan{});
     const std::string path =
-        record_dir + "/fuzz-s" + std::to_string(draw.program_seed) + ".dsmrlog";
+        config.record_dir + "/fuzz-s" + std::to_string(draw.program_seed) + ".dsmrlog";
     std::ofstream out(path, std::ios::binary);
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
@@ -643,21 +712,23 @@ SweepOutcome run_draw(const Draw& draw, const FuzzCheckOptions& check,
   out.arm = draw.arm;
   out.expect = program.expect;
   if (program.planted) out.bug = program.planted->kind;
+  out.ops = program.op_count();
+  out.recorded = recorded;
+  out.thread = std::move(legs.thread);
+  const ProgramVerdict verdict = legs.sim ? std::move(*legs.sim) : ProgramVerdict{};
   out.schedules = verdict.report.runs.size();
   out.manifested = verdict.manifested_runs;
   out.completed = verdict.completed_runs;
   out.fault_runs = verdict.report.fault_runs;
   out.watchdog_runs = verdict.report.watchdog_runs;
-  out.ops = program.op_count();
   out.signature = coverage_signature(program, verdict);
-  out.recorded = recorded;
   out.explored = verdict.explored;
   out.explore_skipped = verdict.explore_skipped;
   out.explored_interleavings = verdict.explored_interleavings;
   out.explored_racy = verdict.explored_racy;
   out.failures = verdict.failures;
   if (!verdict.failures.empty()) out.program_text = serialize(program);
-  if (verbose) {
+  if (config.verbose && legs.sim) {
     out.rendered =
         std::string(to_string(program.expect)) + ": " + verdict.report.render();
   }
@@ -731,6 +802,9 @@ constexpr std::uint64_t kCoverageBatch = 8;
 FuzzSweepResult run_fuzz_sweep(const FuzzSweepConfig& config) {
   DSMR_REQUIRE(config.seeds.count > 0, "sweep needs at least one program");
   DSMR_REQUIRE(config.threads >= 1, "sweep needs at least one thread");
+  DSMR_REQUIRE(config.mode == ScheduleMode::kUniform ||
+                   config.diff.backend != Backend::kThreaded,
+               "coverage scheduling needs the sim leg's verdicts");
   Corpus corpus = config.corpus_dir.empty() ? Corpus{} : Corpus{config.corpus_dir};
   if (!config.record_dir.empty()) {
     std::filesystem::create_directories(config.record_dir);
@@ -753,6 +827,16 @@ FuzzSweepResult run_fuzz_sweep(const FuzzSweepConfig& config) {
     if (outcome.explored) ++result.explored_programs;
     if (!outcome.explore_skipped.empty()) ++result.explore_skipped_programs;
     result.explored_interleavings += outcome.explored_interleavings;
+    const ThreadLegResult& thread = outcome.thread;
+    result.thread.runs += thread.runs;
+    result.thread.manifested += thread.manifested;
+    result.thread.record_replay_checks += thread.record_replay_checks;
+    result.thread.checks += thread.checks;
+    result.thread.wall_ns += thread.wall_ns;
+    for (const auto& failure : thread.failures) {
+      result.thread.failures.push_back("s" + std::to_string(outcome.program_seed) + " [" +
+                                       outcome.arm + "]: " + failure);
+    }
     run_signatures.insert(outcome.signature);
     outcome.novel = corpus.add(outcome.signature, outcome.arm, outcome.program_seed);
     if (outcome.novel) ++result.corpus_new;
@@ -761,10 +845,11 @@ FuzzSweepResult run_fuzz_sweep(const FuzzSweepConfig& config) {
     if (outcome.manifested > 0) ++stats.manifested_programs;
     stats.manifested_runs += outcome.manifested;
     stats.completed_runs += outcome.completed;
-    if (!outcome.failures.empty()) ++stats.failures;
+    if (!outcome.failures.empty() || !outcome.thread.failures.empty()) ++stats.failures;
   };
 
-  util::ThreadPool pool(config.threads);
+  const int workers = config.diff.backend == Backend::kSim ? config.threads : 1;
+  util::ThreadPool pool(workers);
 
   if (config.mode == ScheduleMode::kUniform) {
     // The classic sweep: sequential seeds, hash-planted kinds, chunked so
@@ -772,7 +857,7 @@ FuzzSweepResult run_fuzz_sweep(const FuzzSweepConfig& config) {
     // pre-assigned slot; the fold below runs in seed order, so output is
     // bit-identical across thread counts.
     const std::uint64_t chunk =
-        std::max<std::uint64_t>(static_cast<std::uint64_t>(config.threads) * 4, 1);
+        std::max<std::uint64_t>(static_cast<std::uint64_t>(workers) * 4, 1);
     std::uint64_t scheduled = 0;
     for (std::uint64_t next = 0; next < config.seeds.count; next += chunk) {
       if (out_of_budget()) {
@@ -789,7 +874,7 @@ FuzzSweepResult run_fuzz_sweep(const FuzzSweepConfig& config) {
           draw.arm = config.profile + "/" +
                      (draw.gen.plant_bug ? to_string(draw.gen.bug_kind) : "clean");
           result.outcomes[offset] =
-              run_draw(draw, config.check, config.verbose, config.record_dir);
+              run_draw(draw, config);
         });
       }
       pool.wait_idle();
@@ -825,7 +910,7 @@ FuzzSweepResult run_fuzz_sweep(const FuzzSweepConfig& config) {
         draw.arm = arms[index].label;
         pool.submit([draw, slot = drawn + b, &result, &config] {
           result.outcomes[slot] =
-              run_draw(draw, config.check, config.verbose, config.record_dir);
+              run_draw(draw, config);
         });
       }
       pool.wait_idle();

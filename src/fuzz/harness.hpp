@@ -1,12 +1,13 @@
-// Fuzz harness: one generated program through the full differential
-// conformance grid, plus the fuzz-only invariants its construction allows —
-// and the sweep layer that schedules which programs to try next.
+// The differential harness: generated programs through every backend's
+// checks, and the sweep that schedules which programs to try next.
 //
-// A generated program is registered as a first-class analysis::Scenario and
-// run through analysis::run_conformance, so every (schedule seed ×
-// perturbation) gets the complete cross-check stack (epoch fast path vs
-// full-VC oracle, live vs replay, precision, cross-mode writes). On top,
-// the generator's construction guarantees are checked per expectation:
+// The sim leg (check_program). A generated program is registered as a
+// first-class analysis::Scenario and run through analysis::run_conformance,
+// so every (schedule seed × perturbation × fault plan) coordinate gets the
+// complete cross-check stack (epoch fast path vs full-VC oracle, live vs
+// replay, precision, cross-mode writes, record ≡ fold, fault-transparency
+// and clean-failure). On top, the generator's construction guarantees are
+// checked per expectation over the fault-free grid:
 //
 //  * kClean     — zero reports and zero truth pairs on every schedule
 //    (conformance's race-in-clean-scenario invariant covers this);
@@ -23,27 +24,39 @@
 //    manifestation *rate* over the grid is measured and carried through
 //    repro files and JSON summaries.
 //
-// Fault plans (net/fault.hpp) plug straight in: each wire-enabled plan in
-// `FuzzCheckOptions::fault_plans` rides the conformance grid's fault axis
-// next to every (schedule seed × perturbation) base point. On top of the
-// conformance layer's clean-failure machinery, the fuzz layer enforces its
-// own *fault-transparency*: kClean and kRacy programs have schedule-
-// invariant verdicts by construction, so every completed recoverable fault
-// run must match its fault-free base's verdict signature bit-for-bit
+// Fault plans (net/fault.hpp) ride the conformance grid's fault axis. kClean
+// and kRacy programs map to the kNever and kAlways scenario expectations,
+// whose verdicts the grid holds bit-identical under every recoverable plan
 // (kSometimes manifestation is schedule luck, which faults legitimately
-// re-roll — exempt). A plan carrying `drop_live_reports` re-arms the
-// test-only harness hook (pretend the live detector stayed silent, so every
+// re-roll — exempt). A plan carrying `drop_live_reports` arms the test-only
+// harness hook (pretend the live detector stayed silent, so every
 // planted-bug schedule violates planted-bug-not-detected) so CI can
 // exercise the failure → shrink → repro → replay loop end-to-end without a
 // real detector bug.
 //
-// Failing coordinates serialize into a self-contained repro file (program
-// text + schedule coordinate + fault plan + fired check + measured
+// The threaded leg (check_program_backends, Backend::kThreaded/kBoth) runs
+// the program on real OS threads (fuzz/thread_harness.hpp). Real schedules
+// are not seeded-replayable, so runs are compared by final *verdict
+// signature* — did the run complete, and which areas raced:
+//
+//  * kClean     — zero races on every run;
+//  * kRacy      — the planted area flagged on every run;
+//  * kSometimes — manifestation is schedule luck and real schedule spaces
+//    differ from the sim's, so it is counted, never failed on;
+//  * a run that fails to complete (stuck ranks at the deadline) always
+//    fails: generated programs are deadlock-free by construction.
+//
+// One extra recorded threaded run must fold offline and gate-replay twice
+// to its own recorded verdicts, which pins whatever that real schedule
+// manifested as a replayable coordinate.
+//
+// Failing sim coordinates serialize into a self-contained repro file
+// (program text + schedule coordinate + fault plan + fired check + measured
 // manifestation) that `dsmr_fuzz --replay` re-runs bit-identically — the
 // full (seed, perturbation, fault-plan) replay coordinate round-trips.
 //
-// The sweep layer (`run_fuzz_sweep`) turns program seeds into verdicts at
-// scale, under one of two seed schedules:
+// The sweep (`run_fuzz_sweep`) turns program seeds into verdicts at scale,
+// on the backends it is given, under one of two seed schedules:
 //
 //  * uniform  — the classic sweep: sequential seeds, one op-mix profile,
 //    planted kinds hash-assigned; bit-identical across thread counts.
@@ -52,7 +65,7 @@
 //    signature* (sync/op/transport mix + verdict path), and arms that
 //    keep producing unseen signatures get pulled more. With `corpus_dir`
 //    set, signatures persist across runs (nightly CI keeps a corpus), so
-//    novelty is judged against everything ever seen.
+//    novelty is judged against everything ever seen. Sim leg only.
 #pragma once
 
 #include <cstddef>
@@ -68,6 +81,7 @@
 #include "analysis/conformance.hpp"
 #include "fuzz/generate.hpp"
 #include "fuzz/program.hpp"
+#include "fuzz/thread_harness.hpp"
 #include "net/fault.hpp"
 #include "sim/perturb.hpp"
 #include "util/cli.hpp"
@@ -139,6 +153,45 @@ struct ProgramVerdict {
 /// World uses default detection settings (dual-clock, acked puts, lock
 /// handoff) — the regime the generator's cleanliness proof assumes.
 ProgramVerdict check_program(const Program& program, const FuzzCheckOptions& options);
+
+/// Which legs a differential check runs (`dsmr_fuzz --backend`).
+enum class Backend : std::uint8_t { kSim, kThreaded, kBoth };
+const char* to_string(Backend backend);
+std::optional<Backend> parse_backend(const std::string& text);
+
+struct BackendDiffOptions {
+  Backend backend = Backend::kSim;
+  ThreadRunOptions thread;  ///< every run of the threaded leg.
+  int thread_reps = 3;      ///< free-running real-schedule samples.
+};
+
+/// The threaded leg's tallies: one program's, or summed over a sweep.
+struct ThreadLegResult {
+  /// Human-readable divergences (a sweep prefixes each with its program).
+  std::vector<std::string> failures;
+  std::uint64_t runs = 0;        ///< free-running runs.
+  std::uint64_t manifested = 0;  ///< free-running runs with >= 1 race.
+  std::uint64_t record_replay_checks = 0;  ///< recorded runs verified.
+  std::uint64_t checks = 0;   ///< inline checks across every threaded run.
+  std::uint64_t wall_ns = 0;  ///< summed ThreadWorld::run() wall time.
+
+  /// Inline detector throughput (the docs/perf.md real-cores number).
+  double checks_per_sec() const {
+    return wall_ns == 0 ? 0.0
+                        : static_cast<double>(checks) * 1e9 / static_cast<double>(wall_ns);
+  }
+};
+
+struct BackendDiffResult {
+  std::optional<ProgramVerdict> sim;  ///< the sim leg's grid, when it ran.
+  ThreadLegResult thread;             ///< zero when the leg did not run.
+};
+
+/// Runs the legs `options.backend` selects: the sim leg is check_program on
+/// `sim`, the threaded leg holds real runs to the contract above.
+BackendDiffResult check_program_backends(const Program& program,
+                                         const FuzzCheckOptions& sim,
+                                         const BackendDiffOptions& options);
 
 /// The stable leading name of a divergence check ("precision: 3/4 ..." →
 /// "precision"); repro files record names, not details.
@@ -270,7 +323,8 @@ struct SweepOutcome {
   std::string signature;
   bool novel = false;             ///< first sighting (run + corpus).
   bool recorded = false;          ///< a log was written under record_dir.
-  std::vector<analysis::Divergence> failures;
+  std::vector<analysis::Divergence> failures;  ///< sim leg.
+  ThreadLegResult thread;                      ///< threaded leg.
   /// Exhaustive-exploration mirror (FuzzCheckOptions::exhaustive): whether
   /// this program was explored, why it was skipped when not, and the
   /// explored/racy interleaving counts (ProgramVerdict's counters).
@@ -315,7 +369,11 @@ struct FuzzSweepConfig {
   /// Planted kinds to draw from; infeasible kinds for the shape must
   /// already be filtered out (eligible_bug_kinds).
   std::vector<BugKind> bug_kinds;
-  FuzzCheckOptions check;
+  FuzzCheckOptions check;  ///< the sim leg's grid.
+  BackendDiffOptions diff;  ///< which legs run; the threaded leg's knobs.
+  /// Pool workers. A sweep with a threaded leg checks one program at a time,
+  /// so rank threads never oversubscribe the CPUs, and hands these threads
+  /// to each program's sim grid instead (overriding `check.threads`).
   int threads = 1;
   bool verbose = false;
   std::string corpus_dir;  ///< "" = in-memory signatures only.
@@ -344,6 +402,7 @@ struct FuzzSweepResult {
   std::uint64_t explore_skipped_programs = 0;  ///< over the exhaustive size gate.
   std::uint64_t explored_interleavings = 0;    ///< total across explored programs.
   bool budget_hit = false;
+  ThreadLegResult thread;  ///< the threaded leg, summed in draw order.
   /// Keyed by "clean" / bug-kind name.
   std::map<std::string, KindStats> kinds;
 };
@@ -361,7 +420,8 @@ GenConfig gen_for_seed(const GenConfig& base, std::uint64_t program_seed,
                        double planted_fraction, const std::vector<BugKind>& kinds);
 
 /// Runs the sweep: generates programs per the schedule mode, checks each
-/// across the grid on `threads` pool workers, folds outcomes and coverage
+/// on the selected backends on `threads` pool workers (one with a threaded
+/// leg, whose sim grids then run on `threads`), folds outcomes and coverage
 /// deterministically (uniform: bit-identical across thread counts;
 /// coverage: deterministic for a fixed config — the bandit folds batches
 /// of a fixed size in draw order). Flushes the corpus before returning.

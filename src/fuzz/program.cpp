@@ -97,6 +97,12 @@ bool validate(const Program& program, std::string* error) {
   if (program.area_bytes == 0 || program.area_bytes > kMaxAreaBytes) {
     return fail("area_bytes out of range [1, " + std::to_string(kMaxAreaBytes) + "]");
   }
+  const std::uint64_t extent =
+      home_extent_bytes(program.nprocs, program.areas, program.area_bytes);
+  if (extent > kMaxHomeBytes) {
+    return fail("home extent " + std::to_string(extent) + " bytes exceeds " +
+                std::to_string(kMaxHomeBytes) + " (area_bytes x ceil(areas / nprocs))");
+  }
   if (program.phases.size() > kMaxPhases) return fail("too many phases");
   for (std::size_t p = 0; p < program.phases.size(); ++p) {
     const auto& phase = program.phases[p];
@@ -567,6 +573,19 @@ sim::Task program_task(Process& p, std::shared_ptr<const Program> program,
 
 }  // namespace
 
+std::uint64_t home_extent_bytes(int nprocs, int areas, std::uint32_t area_bytes) {
+  const auto per_home = (static_cast<std::uint64_t>(areas) + nprocs - 1) /
+                        static_cast<std::uint64_t>(nprocs);
+  return per_home * area_bytes;
+}
+
+std::uint32_t segment_bytes(const Program& program) {
+  const std::uint64_t extent =
+      home_extent_bytes(program.nprocs, program.areas, program.area_bytes);
+  return static_cast<std::uint32_t>(
+      std::max<std::uint64_t>(runtime::WorldConfig{}.segment_bytes, extent));
+}
+
 ProgramHandles spawn_program(World& world, std::shared_ptr<const Program> program) {
   DSMR_REQUIRE(program != nullptr, "spawn_program needs a program");
   std::string error;
@@ -597,13 +616,13 @@ analysis::Scenario to_scenario(std::shared_ptr<const Program> program,
                          " ranks, " + std::to_string(program->areas) + " areas, " +
                          std::to_string(program->op_count()) + " ops, expect " +
                          to_string(program->expect) + ")";
-  // An always-racy planted pair is concurrent on every schedule (see
-  // fuzz/generate.hpp), but conformance's own grid-level expectation only
-  // distinguishes never/sometimes; the stronger "manifests everywhere" and
-  // "manifests at least once" invariants live in fuzz::check_program.
-  scenario.expect = program->expect == Expectation::kClean
-                        ? analysis::RaceExpectation::kNever
-                        : analysis::RaceExpectation::kSometimes;
+  // The grid holds kNever and kAlways verdicts transparent under
+  // recoverable faults; the per-run "manifests everywhere" and "manifests
+  // at least once" invariants live in fuzz::check_program.
+  using analysis::RaceExpectation;
+  scenario.expect = program->expect == Expectation::kClean  ? RaceExpectation::kNever
+                    : program->expect == Expectation::kRacy ? RaceExpectation::kAlways
+                                                            : RaceExpectation::kSometimes;
   scenario.min_ranks = program->nprocs;
   scenario.spawn = [program](runtime::World& world) { spawn_program(world, program); };
   return scenario;

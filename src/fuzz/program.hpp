@@ -54,6 +54,9 @@ const char* to_string(OpKind kind);
 inline constexpr int kMaxProcs = 1024;
 inline constexpr int kMaxAreas = 1 << 20;
 inline constexpr std::uint32_t kMaxAreaBytes = 1 << 16;
+/// Cap on one home's extent (home_extent_bytes): every rank's public
+/// segment must hold its own areas, and a segment is addressed in 32 bits.
+inline constexpr std::uint64_t kMaxHomeBytes = 1 << 26;
 inline constexpr std::size_t kMaxPhases = 4096;
 inline constexpr std::size_t kMaxOpsPerRank = 1 << 20;
 inline constexpr sim::Time kMaxDuration = 1'000'000'000;  ///< 1 virtual second.
@@ -177,22 +180,33 @@ std::string serialize(const Program& program);
 std::optional<Program> parse_program(const std::string& text, std::string* error = nullptr);
 
 /// Validates structural invariants (rank/area/peer indices in range,
-/// positive sizes, one op row per rank per phase, boundary/skip legality).
-/// Serialize/spawn require this.
+/// positive sizes, home extent within kMaxHomeBytes, one op row per rank per
+/// phase, boundary/skip legality). Serialize/spawn require this.
 bool validate(const Program& program, std::string* error = nullptr);
+
+/// Bytes the busiest home's areas span: area a is homed at rank a % nprocs,
+/// so a home holds at most ⌈areas / nprocs⌉ of them. 64-bit: the shape caps
+/// multiply past 2^32.
+std::uint64_t home_extent_bytes(int nprocs, int areas, std::uint32_t area_bytes);
+
+/// The public segment per rank that a valid program runs in, on either
+/// backend: its home extent, and never less than the 1 MiB runtime default.
+std::uint32_t segment_bytes(const Program& program);
 
 struct ProgramHandles {
   std::vector<mem::GlobalAddress> areas;
 };
 
 /// Allocates the program's areas and installs one coroutine per rank on a
-/// not-yet-run World (world.nprocs() must equal program->nprocs).
+/// not-yet-run World (world.nprocs() must equal program->nprocs, and its
+/// segment must hold segment_bytes(*program)).
 ProgramHandles spawn_program(runtime::World& world,
                              std::shared_ptr<const Program> program);
 
 /// Wraps a generated program as a first-class conformance scenario, so the
 /// full differential cross-check (analysis::run_conformance) applies to it
-/// exactly as to the built-in workloads.
+/// exactly as to the built-in workloads. kClean maps to kNever, kRacy to
+/// kAlways, kSometimes to kSometimes.
 analysis::Scenario to_scenario(std::shared_ptr<const Program> program,
                                std::string name);
 

@@ -2,9 +2,6 @@
 
 #include <cstring>
 
-#include "fuzz/harness.hpp"
-#include "record/replay.hpp"
-#include "runtime/world.hpp"
 #include "util/assert.hpp"
 
 namespace dsmr::fuzz {
@@ -87,15 +84,6 @@ void run_rank(ThreadProcess& p, const Program& program,
   }
 }
 
-std::string ranks_to_string(const std::vector<Rank>& ranks) {
-  std::string out;
-  for (const Rank r : ranks) {
-    if (!out.empty()) out += ",";
-    out += std::to_string(r);
-  }
-  return out;
-}
-
 }  // namespace
 
 std::uint64_t boundary_signal_tag(std::size_t phase, std::uint32_t round) {
@@ -128,15 +116,9 @@ ThreadProgramOutcome run_program_threaded(const Program& program,
                                           const ThreadRunOptions& options) {
   runtime::ThreadWorldConfig config;
   config.nprocs = program.nprocs;
-  config.mode = options.mode;
-  config.lock_clock_handoff = options.lock_clock_handoff;
-  config.acked_puts = options.acked_puts;
   config.stripes = options.stripes;
   config.run_timeout = options.timeout;
-  // Areas are small and bump-allocated; size the segment to fit them.
-  config.segment_bytes =
-      std::max<std::uint32_t>(1 << 16, program.area_bytes *
-                                           (static_cast<std::uint32_t>(program.areas) + 1));
+  config.segment_bytes = segment_bytes(program);
   config.recorder = options.recorder;
   config.replay = options.replay;
   ThreadWorld world(config);
@@ -152,154 +134,6 @@ ThreadProgramOutcome run_program_threaded(const Program& program,
                              outcome.report.stuck_ranks);
   }
   return outcome;
-}
-
-BackendDiffResult check_program_backends(const Program& program,
-                                         const BackendDiffOptions& options) {
-  BackendDiffResult result;
-  const std::string planted_area =
-      program.planted ? "fz" + std::to_string(program.planted->area) : "";
-  auto fail = [&result](std::string what) { result.failures.push_back(std::move(what)); };
-
-  // --- sim oracle runs ---
-  if (options.compare_sim) {
-    for (std::uint64_t seed = 1; seed <= options.sim_schedule_seeds; ++seed) {
-      runtime::WorldConfig config;
-      config.nprocs = program.nprocs;
-      config.seed = seed;
-      runtime::World world(config);
-      spawn_program(world, std::make_shared<Program>(program));
-      const auto report = world.run();
-      ++result.sim_runs;
-      if (!report.completed) {
-        fail("sim run (seed " + std::to_string(seed) + ") did not complete");
-        continue;
-      }
-      std::set<std::string> racy;
-      for (const auto& r : world.races().unique_by_area()) racy.insert(r.area_name);
-      if (!racy.empty()) ++result.sim_manifested;
-      switch (program.expect) {
-        case Expectation::kClean:
-          if (!racy.empty()) {
-            fail("clean program raced on sim (seed " + std::to_string(seed) +
-                 "): area " + *racy.begin());
-          }
-          break;
-        case Expectation::kRacy:
-          if (racy.count(planted_area) == 0) {
-            fail("planted race missed on sim (seed " + std::to_string(seed) +
-                 "): area " + planted_area);
-          }
-          break;
-        case Expectation::kSometimes:
-          break;  // informational.
-      }
-    }
-  }
-
-  // --- threaded runs ---
-  for (int rep = 0; rep < options.thread_reps; ++rep) {
-    const auto outcome = run_program_threaded(program, options.thread);
-    ++result.thread_runs;
-    result.checks += outcome.report.checks;
-    result.wall_ns += outcome.report.wall_ns;
-    if (!outcome.report.completed) {
-      fail("threaded run " + std::to_string(rep) + " stuck (ranks " +
-           ranks_to_string(outcome.report.stuck_ranks) +
-           ") — generated programs are deadlock-free");
-      continue;
-    }
-    if (!outcome.racy_areas.empty()) ++result.thread_manifested;
-    switch (program.expect) {
-      case Expectation::kClean:
-        if (!outcome.racy_areas.empty()) {
-          fail("clean program raced on threaded run " + std::to_string(rep) +
-               ": area " + *outcome.racy_areas.begin());
-        }
-        break;
-      case Expectation::kRacy:
-        if (outcome.racy_areas.count(planted_area) == 0) {
-          fail("planted race missed on threaded run " + std::to_string(rep) +
-               ": area " + planted_area);
-        }
-        break;
-      case Expectation::kSometimes:
-        break;  // manifestation is schedule luck — counted, never failed on.
-    }
-  }
-
-  // --- record → replay determinism ---
-  // One extra recorded run; its log must fold offline AND gate-replay (twice)
-  // to the recorded verdicts. kSometimes included: whatever this schedule
-  // manifested is now a pinned, replayable coordinate.
-  if (options.record_replay) {
-    ThreadRunOptions recording = options.thread;
-    record::Recorder recorder(static_cast<std::uint32_t>(program.nprocs),
-                              record::Backend::kThread, recording.mode,
-                              recording.lock_clock_handoff, recording.acked_puts);
-    recording.recorder = &recorder;
-    const auto live = run_program_threaded(program, recording);
-    result.checks += live.report.checks;
-    result.wall_ns += live.report.wall_ns;
-    const record::Log& log = recorder.log();
-    const std::string fold = record::check_record_replay(log);
-    if (!fold.empty()) fail("record fold: " + fold);
-    ThreadRunOptions replaying = options.thread;
-    replaying.replay = &log;
-    const record::AreaIndex areas = record::make_area_index(log.areas);
-    for (int rep = 0; rep < 2; ++rep) {
-      const auto outcome = run_program_threaded(program, replaying);
-      const record::VerdictSignature sig = record::make_signature(
-          areas, outcome.reports, outcome.report.completed,
-          outcome.report.stuck_ranks);
-      if (!(sig == log.live)) {
-        fail("replay " + std::to_string(rep) +
-             " diverged from its recorded run: " + sig.to_string() + " vs " +
-             log.live.to_string());
-      }
-    }
-    ++result.record_replay_checks;
-  }
-  return result;
-}
-
-ThreadSweepResult run_thread_sweep(const ThreadSweepConfig& config) {
-  ThreadSweepResult result;
-  for (std::uint64_t i = 0; i < config.seeds.count; ++i) {
-    const std::uint64_t seed = config.seeds.first + i;
-    const GenConfig gen =
-        gen_for_seed(config.base, seed, config.planted_fraction, config.bug_kinds);
-    const Program program = generate_program(gen);
-
-    ++result.programs;
-    std::string arm = "clean";
-    switch (program.expect) {
-      case Expectation::kClean:
-        ++result.clean_programs;
-        break;
-      case Expectation::kRacy:
-        ++result.racy_programs;
-        arm = to_string(gen.bug_kind);
-        break;
-      case Expectation::kSometimes:
-        ++result.sometimes_programs;
-        arm = to_string(gen.bug_kind);
-        break;
-    }
-
-    const auto diff = check_program_backends(program, config.diff);
-    result.thread_runs += diff.thread_runs;
-    result.thread_manifested += diff.thread_manifested;
-    result.sim_runs += diff.sim_runs;
-    result.sim_manifested += diff.sim_manifested;
-    result.record_replay_checks += diff.record_replay_checks;
-    result.checks += diff.checks;
-    result.wall_ns += diff.wall_ns;
-    for (const auto& failure : diff.failures) {
-      result.divergences.push_back(ThreadSweepDivergence{seed, arm, failure});
-    }
-  }
-  return result;
 }
 
 }  // namespace dsmr::fuzz

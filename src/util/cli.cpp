@@ -180,6 +180,8 @@ bool Cli::get_flag(const std::string& name) {
   return it != values_.end() && it->second != "false" && it->second != "0";
 }
 
+bool Cli::has(const std::string& name) const { return values_.count(name) > 0; }
+
 SeedRange Cli::get_seed_range(const std::string& name, const SeedRange& default_value) {
   consumed_[name] = true;
   const auto it = values_.find(name);

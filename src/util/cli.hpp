@@ -60,6 +60,8 @@ class Cli {
   double get_double(const std::string& name, double default_value);
   std::string get_string(const std::string& name, const std::string& default_value);
   bool get_flag(const std::string& name);
+  /// Whether `--<name>` was passed at all (consumes nothing).
+  bool has(const std::string& name) const;
 
   /// The shared `--<name> N|LO..HI` seed-range flag (parse_seed_range);
   /// exits 2 with the parse error on malformed input.

@@ -14,6 +14,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/conformance.hpp"
@@ -227,6 +228,50 @@ TEST(FuzzProgram, ParserRejectsMalformedInput) {
   ASSERT_NE(pos, std::string::npos);
   out_of_range.replace(pos, 5, "put 9");
   EXPECT_FALSE(parse_program(out_of_range).has_value());
+}
+
+TEST(FuzzProgram, SegmentIsSizedFromTheBusiestHome) {
+  // area a lives at rank a % nprocs: 80 areas over 4 ranks put 20 on a home.
+  EXPECT_EQ(home_extent_bytes(4, 80, 65536), 20u * 65536u);
+  EXPECT_EQ(home_extent_bytes(4, 81, 65536), 21u * 65536u);
+  // Computed in 64 bits: the caps multiply past 2^32.
+  EXPECT_EQ(home_extent_bytes(1, kMaxAreas, kMaxAreaBytes),
+            std::uint64_t{kMaxAreas} * kMaxAreaBytes);
+  Program program = generate_program(small_config(1, false));
+  EXPECT_EQ(segment_bytes(program), 1u << 20);  // the runtime default.
+  program.areas = 80;
+  program.area_bytes = 65536;
+  EXPECT_EQ(segment_bytes(program), 20u * 65536u);
+}
+
+TEST(FuzzProgram, OversizedHomeIsRejectedWithAStructuredError) {
+  Program program = generate_program(small_config(1, false));
+  ASSERT_TRUE(validate(program));
+  // 2^20 areas of 64 KiB on one rank: 64 GiB on one home.
+  program.nprocs = 1;
+  program.areas = kMaxAreas;
+  program.area_bytes = kMaxAreaBytes;
+  program.phases.clear();
+  std::string error;
+  EXPECT_FALSE(validate(program, &error));
+  EXPECT_NE(error.find("home extent"), std::string::npos) << error;
+
+  // The parser runs the same check on program text.
+  Program small = program;
+  small.areas = 1;
+  small.area_bytes = 8;
+  std::string text = serialize(small);
+  ASSERT_TRUE(parse_program(text).has_value());
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{"areas 1\n", "areas " + std::to_string(kMaxAreas) + "\n"},
+        {"area_bytes 8\n", "area_bytes " + std::to_string(kMaxAreaBytes) + "\n"}}) {
+    const auto pos = text.find(from);
+    ASSERT_NE(pos, std::string::npos) << from;
+    text.replace(pos, from.size(), to);
+  }
+  error.clear();
+  EXPECT_FALSE(parse_program(text, &error).has_value());
+  EXPECT_NE(error.find("home extent"), std::string::npos) << error;
 }
 
 TEST(FuzzProgram, ParserRejectsMalformedNewSyntax) {
@@ -467,6 +512,33 @@ TEST(FuzzHarness, GeneratedProgramsAreFirstClassScenarios) {
   const auto sometimes = std::make_shared<const Program>(
       generate_program(small_config(5, true, BugKind::kAckWindow)));
   EXPECT_EQ(to_scenario(sometimes, "s").expect, analysis::RaceExpectation::kSometimes);
+
+  // kRacy programs map to always: their verdicts are schedule-invariant, so
+  // the grid holds them fault-transparent.
+  const auto racy = std::make_shared<const Program>(
+      generate_program(small_config(5, true, BugKind::kDroppedEdge)));
+  ASSERT_EQ(racy->expect, Expectation::kRacy);
+  EXPECT_EQ(to_scenario(racy, "r").expect, analysis::RaceExpectation::kAlways);
+}
+
+TEST(FuzzHarness, RacyProgramsAreFaultTransparentUnderRecoverablePlans) {
+  // The grid's one transparency rule covers kRacy (kAlways) programs: every
+  // recoverable fault run reproduces its fault-free base's signature.
+  const auto loss1 = net::parse_fault_plan("loss1");
+  ASSERT_TRUE(loss1.has_value());
+  ASSERT_TRUE(loss1->recoverable());
+  for (const BugKind kind : {BugKind::kDroppedEdge, BugKind::kWrongLock}) {
+    const auto program = generate_program(small_config(4, true, kind));
+    ASSERT_EQ(program.expect, Expectation::kRacy);
+    FuzzCheckOptions options = quick_check();
+    options.fault_plans = {*loss1};
+    const auto verdict = check_program(program, options);
+    EXPECT_TRUE(verdict.passed()) << to_string(kind) << ": "
+                                  << verdict.failures.front().describe();
+    EXPECT_GT(verdict.report.fault_runs, 0u);
+    EXPECT_EQ(verdict.report.fault_transparent_runs, verdict.report.fault_runs)
+        << to_string(kind);
+  }
 }
 
 /// The test-only detector-silence hook as a fault plan (net/fault.hpp).

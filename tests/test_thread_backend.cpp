@@ -1,6 +1,8 @@
 // Tests for the real-threads execution backend (runtime::ThreadWorld /
-// net::ThreadFabric) and its differential harness: clean and always-racy
-// fuzzed slices compared against the sim oracle by verdict signature,
+// net::ThreadFabric) and the differential harness's threaded leg: clean and
+// always-racy fuzzed slices checked on both backends by verdict signature
+// (the sim leg is the full conformance grid), the one sweep loop on every
+// backend, segments sized from the program,
 // quiescent shutdown with join-all (stuck ranks instead of leaked threads),
 // the inline detection path on handwritten programs (which, in debug
 // builds, auto-cross-checks every verdict against check_access_oracle — see
@@ -24,6 +26,7 @@
 #include <unistd.h>
 
 #include "fuzz/generate.hpp"
+#include "fuzz/harness.hpp"
 #include "fuzz/thread_harness.hpp"
 #include "net/message.hpp"
 #include "runtime/thread_world.hpp"
@@ -65,10 +68,25 @@ std::set<std::string> racy_areas(ThreadWorld& world) {
 
 fuzz::BackendDiffOptions quick_diff() {
   fuzz::BackendDiffOptions options;
+  options.backend = fuzz::Backend::kBoth;
   options.thread_reps = 2;
-  options.sim_schedule_seeds = 1;
   options.thread.timeout = std::chrono::milliseconds(10'000);
   return options;
+}
+
+/// The sim leg's grid: one schedule seed, the identity perturbation.
+fuzz::FuzzCheckOptions quick_sim() {
+  fuzz::FuzzCheckOptions options;
+  options.schedule_seeds = 1;
+  return options;
+}
+
+void expect_no_failures(const fuzz::BackendDiffResult& diff, const std::string& label) {
+  for (const auto& failure : diff.thread.failures) ADD_FAILURE() << label << ": " << failure;
+  ASSERT_TRUE(diff.sim.has_value()) << label;
+  for (const auto& failure : diff.sim->failures) {
+    ADD_FAILURE() << label << ": " << failure.describe();
+  }
 }
 
 TEST(ThreadBackendDiff, CleanFuzzedSliceIsCleanOnBothBackends) {
@@ -78,11 +96,11 @@ TEST(ThreadBackendDiff, CleanFuzzedSliceIsCleanOnBothBackends) {
     gen.plant_bug = false;
     const auto program = fuzz::generate_program(gen);
     ASSERT_EQ(program.expect, fuzz::Expectation::kClean);
-    const auto diff = fuzz::check_program_backends(program, quick_diff());
-    for (const auto& failure : diff.failures) ADD_FAILURE() << "s" << seed << ": " << failure;
-    EXPECT_EQ(diff.thread_manifested, 0u) << "seed " << seed;
-    EXPECT_EQ(diff.sim_manifested, 0u) << "seed " << seed;
-    EXPECT_GT(diff.checks, 0u);
+    const auto diff = fuzz::check_program_backends(program, quick_sim(), quick_diff());
+    expect_no_failures(diff, "s" + std::to_string(seed));
+    EXPECT_EQ(diff.thread.manifested, 0u) << "seed " << seed;
+    EXPECT_EQ(diff.sim->manifested_runs, 0u) << "seed " << seed;
+    EXPECT_GT(diff.thread.checks, 0u);
   }
 }
 
@@ -95,13 +113,12 @@ TEST(ThreadBackendDiff, AlwaysRacySliceIsFlaggedOnBothBackends) {
       gen.bug_kind = kind;
       const auto program = fuzz::generate_program(gen);
       ASSERT_EQ(program.expect, fuzz::Expectation::kRacy);
-      const auto diff = fuzz::check_program_backends(program, quick_diff());
-      for (const auto& failure : diff.failures) {
-        ADD_FAILURE() << fuzz::to_string(kind) << " s" << seed << ": " << failure;
-      }
+      const auto diff = fuzz::check_program_backends(program, quick_sim(), quick_diff());
+      expect_no_failures(diff, std::string(fuzz::to_string(kind)) + " s" +
+                                   std::to_string(seed));
       // "On every run" — manifested must equal the run count on both sides.
-      EXPECT_EQ(diff.thread_manifested, diff.thread_runs);
-      EXPECT_EQ(diff.sim_manifested, diff.sim_runs);
+      EXPECT_EQ(diff.thread.manifested, diff.thread.runs);
+      EXPECT_EQ(diff.sim->manifested_runs, diff.sim->report.runs.size());
     }
   }
 }
@@ -116,34 +133,101 @@ TEST(ThreadBackendDiff, SometimesKindsAreInformationalNeverDivergences) {
     gen.bug_kind = kind;
     const auto program = fuzz::generate_program(gen);
     ASSERT_EQ(program.expect, fuzz::Expectation::kSometimes);
-    const auto diff = fuzz::check_program_backends(program, quick_diff());
-    for (const auto& failure : diff.failures) {
-      ADD_FAILURE() << fuzz::to_string(kind) << ": " << failure;
-    }
+    const auto diff = fuzz::check_program_backends(program, quick_sim(), quick_diff());
+    expect_no_failures(diff, fuzz::to_string(kind));
   }
 }
 
-TEST(ThreadBackendDiff, SweepSeedMappingMatchesUniformScheduleAndAggregates) {
-  fuzz::ThreadSweepConfig sweep;
+fuzz::FuzzSweepConfig quick_sweep(fuzz::Backend backend) {
+  fuzz::FuzzSweepConfig sweep;
   sweep.seeds = util::SeedRange{1, 8};
   sweep.planted_fraction = 0.5;
   sweep.bug_kinds = fuzz::eligible_bug_kinds(sweep.base);
+  sweep.check = quick_sim();
   sweep.diff = quick_diff();
-  sweep.diff.compare_sim = false;  // threaded self-check is enough here.
-  const auto result = fuzz::run_thread_sweep(sweep);
+  sweep.diff.backend = backend;
+  return sweep;
+}
+
+TEST(ThreadBackendDiff, SweepSeedMappingMatchesUniformScheduleAndAggregates) {
+  // threaded self-check is enough here.
+  const auto result = fuzz::run_fuzz_sweep(quick_sweep(fuzz::Backend::kThreaded));
   EXPECT_EQ(result.programs, 8u);
-  EXPECT_EQ(result.clean_programs + result.racy_programs + result.sometimes_programs,
-            result.programs);
-  EXPECT_EQ(result.thread_runs, 8u * 2u);
+  std::uint64_t clean = 0, racy = 0, sometimes = 0;
+  for (const auto& outcome : result.outcomes) {
+    clean += outcome.expect == fuzz::Expectation::kClean ? 1 : 0;
+    racy += outcome.expect == fuzz::Expectation::kRacy ? 1 : 0;
+    sometimes += outcome.expect == fuzz::Expectation::kSometimes ? 1 : 0;
+  }
+  EXPECT_EQ(clean + racy + sometimes, result.programs);
+  EXPECT_EQ(result.thread.runs, 8u * 2u);
   // Every program got the record→replay treatment: one recorded run folded
   // offline plus two gate-forced replays, all matching the live verdicts.
-  EXPECT_EQ(result.record_replay_checks, 8u);
-  EXPECT_GT(result.checks, 0u);
-  EXPECT_GT(result.wall_ns, 0u);
-  EXPECT_GT(result.checks_per_sec(), 0.0);
-  for (const auto& divergence : result.divergences) {
-    ADD_FAILURE() << "s" << divergence.program_seed << " [" << divergence.arm
-                  << "]: " << divergence.failure;
+  EXPECT_EQ(result.thread.record_replay_checks, 8u);
+  EXPECT_GT(result.thread.checks, 0u);
+  EXPECT_GT(result.thread.wall_ns, 0u);
+  EXPECT_GT(result.thread.checks_per_sec(), 0.0);
+  for (const auto& divergence : result.thread.failures) ADD_FAILURE() << divergence;
+  // No sim leg ran.
+  EXPECT_EQ(result.schedules, 0u);
+
+  // One seed mapping for every backend: the threaded sweep draws exactly the
+  // programs the uniform sim sweep draws on the same seeds.
+  const auto sim = fuzz::run_fuzz_sweep(quick_sweep(fuzz::Backend::kSim));
+  ASSERT_EQ(sim.outcomes.size(), result.outcomes.size());
+  for (std::size_t i = 0; i < sim.outcomes.size(); ++i) {
+    EXPECT_EQ(result.outcomes[i].program_seed, sim.outcomes[i].program_seed);
+    EXPECT_EQ(result.outcomes[i].arm, sim.outcomes[i].arm);
+    EXPECT_EQ(result.outcomes[i].expect, sim.outcomes[i].expect);
+    EXPECT_EQ(result.outcomes[i].bug, sim.outcomes[i].bug);
+    EXPECT_EQ(result.outcomes[i].ops, sim.outcomes[i].ops);
+  }
+  EXPECT_EQ(sim.thread.runs, 0u);
+}
+
+TEST(ThreadBackendDiff, BothSweepRunsTheFullSimGridWithItsFaultHook) {
+  // The sim leg of --backend both is check_program on the sweep's own
+  // options, so the drop-live-reports hook reaches it: every always-racy
+  // program fails planted-bug-not-detected on the sim side, while the
+  // threaded leg (which the hook does not touch) still agrees.
+  auto sweep = quick_sweep(fuzz::Backend::kBoth);
+  sweep.seeds = util::SeedRange{1, 3};
+  sweep.planted_fraction = 1.0;
+  sweep.bug_kinds = {fuzz::BugKind::kDroppedEdge};
+  net::FaultPlan hook;
+  hook.drop_live_reports = true;
+  sweep.check.fault_plans = {hook};
+  const auto result = fuzz::run_fuzz_sweep(sweep);
+  ASSERT_EQ(result.programs, 3u);
+  for (const auto& outcome : result.outcomes) {
+    ASSERT_EQ(outcome.expect, fuzz::Expectation::kRacy);
+    ASSERT_FALSE(outcome.failures.empty()) << "s" << outcome.program_seed;
+    for (const auto& failure : outcome.failures) {
+      EXPECT_EQ(fuzz::check_name(failure.check), "planted-bug-not-detected");
+    }
+    EXPECT_EQ(outcome.thread.runs, 2u);
+  }
+  for (const auto& divergence : result.thread.failures) ADD_FAILURE() << divergence;
+  EXPECT_EQ(result.schedules, 3u);
+}
+
+TEST(ThreadBackendDiff, ProgramsPastTheDefaultSegmentRunOnBothBackends) {
+  // 80 areas of 64 KiB over 4 ranks: 1.25 MiB on each home, past the 1 MiB
+  // runtime default, so both spawn paths must size their segment from the
+  // program.
+  fuzz::GenConfig gen;
+  gen.seed = 1;
+  gen.areas = 80;
+  gen.area_bytes = 65536;
+  for (const bool plant : {false, true}) {
+    gen.plant_bug = plant;
+    gen.bug_kind = fuzz::BugKind::kDroppedEdge;
+    const auto program = fuzz::generate_program(gen);
+    ASSERT_GT(fuzz::home_extent_bytes(program.nprocs, program.areas, program.area_bytes),
+              std::uint64_t{1} << 20);
+    const auto diff = fuzz::check_program_backends(program, quick_sim(), quick_diff());
+    expect_no_failures(diff, plant ? "planted" : "clean");
+    EXPECT_EQ(diff.thread.runs, 2u);
   }
 }
 

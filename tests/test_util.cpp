@@ -261,6 +261,17 @@ TEST(Cli, SeedRangeFlagSharedGrammar) {
   defaults.finish();
 }
 
+TEST(CliDeath, HasSeesPassedFlagsAndConsumesNothing) {
+  const char* argv[] = {"prog", "--threads", "2", "--no-shrink"};
+  Cli cli(4, const_cast<char**>(argv), "usage");
+  EXPECT_TRUE(cli.has("threads"));
+  EXPECT_TRUE(cli.has("no-shrink"));
+  EXPECT_FALSE(cli.has("verbose"));
+  EXPECT_EQ(cli.get_int("threads", 1), 2);
+  // A flag only asked about with has() is still unknown to finish().
+  EXPECT_EXIT(cli.finish(), ::testing::ExitedWithCode(2), "unknown flag --no-shrink");
+}
+
 TEST(CliDeath, MalformedSeedRangeIsALoudError) {
   const char* argv[] = {"prog", "--seeds", "20..10"};
   Cli cli(3, const_cast<char**>(argv), "usage");

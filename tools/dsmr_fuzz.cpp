@@ -32,19 +32,25 @@
 //             [--no-shrink] [--fault PLAN]
 //             [--faults PLAN;PLAN;...] [--verbose]
 //   dsmr_fuzz --replay FILE [--threads N]
-//   dsmr_fuzz --backend threaded|both [--thread-reps N] [--sim-seeds N]
-//             [--stripes N] [--thread-timeout-ms MS] [generation flags]
+//   dsmr_fuzz --backend threaded|both [--thread-reps N] [--stripes N]
+//             [--thread-timeout-ms MS] [generation flags] [sim grid flags]
 //
-// `--backend` selects the execution backend (default `sim`, the full
+// `--backend` selects the legs each program runs (default `sim`, the full
 // conformance grid above). `threaded` runs each generated program on the
 // real-threads backend (runtime::ThreadWorld: one OS thread per rank, the
-// detector inline on the put/get path) and self-checks verdict signatures
-// against the program's construction contract; `both` additionally runs
-// the sim backend as the oracle and counts any clean/always-racy signature
-// disagreement as a divergence (exit 1). Real schedules are not
-// seeded-replayable, so kSometimes manifestation is reported
-// informationally only — see docs/testing.md, "Backends". The summary
-// reports inline-detector throughput (checks/sec) over the threaded runs.
+// detector inline on the put/get path) and checks verdict signatures
+// against the program's construction contract; `both` runs the same sim
+// grid as `sim` next to it, with every sim flag, and any failure on either
+// leg is a divergence (exit 1). Real schedules are not seeded-replayable,
+// so kSometimes manifestation on threads is reported informationally only
+// — see docs/testing.md, "Backends". A threaded leg checks one program at
+// a time (the sim grid gets `--threads` instead), and the summary reports
+// inline-detector throughput (checks/sec) over the threaded runs. Every
+// sim-grid flag (`--schedule coverage`, `--corpus-dir`, `--exhaustive`,
+// `--explore-max-interleavings`, `--fault`/`--faults`, `--schedule-seeds`,
+// `--perturbations`, `--perturb-min/max`, `--record-dir`, `--repro-dir`,
+// `--no-shrink`, `--threads`, `--verbose`) exits 2 under `--backend
+// threaded`.
 //
 // Exit status: 0 when every program conforms (or a --replay reproduces its
 // recorded check), 1 on any disagreement (or a failed replay), 2 on usage
@@ -72,7 +78,6 @@
 #include "fuzz/harness.hpp"
 #include "fuzz/program.hpp"
 #include "fuzz/shrink.hpp"
-#include "fuzz/thread_harness.hpp"
 #include "net/fault.hpp"
 #include "trace/trace.hpp"
 #include "util/cli.hpp"
@@ -201,7 +206,7 @@ int main(int argc, char** argv) {
                 "[--record-dir DIR] [--no-shrink] [--exhaustive] "
                 "[--explore-max-interleavings N] [--fault PLAN] "
                 "[--faults PLAN;PLAN;...] "
-                "[--backend sim|threaded|both] [--thread-reps N] [--sim-seeds N] "
+                "[--backend sim|threaded|both] [--thread-reps N] "
                 "[--stripes N] [--thread-timeout-ms MS] [--verbose] | "
                 "--replay FILE");
   const std::string replay_path = cli.get_string("replay", "");
@@ -233,6 +238,17 @@ int main(int argc, char** argv) {
       "ops", gen.max_ops_per_rank, 1, static_cast<std::int64_t>(fuzz::kMaxOpsPerRank)));
   gen.area_bytes = static_cast<std::uint32_t>(
       cli.get_int_in("area-bytes", gen.area_bytes, 1, fuzz::kMaxAreaBytes));
+  const std::uint64_t home_bytes =
+      fuzz::home_extent_bytes(gen.nprocs, gen.areas, gen.area_bytes);
+  if (home_bytes > fuzz::kMaxHomeBytes) {
+    std::fprintf(stderr,
+                 "--areas %d x --area-bytes %u over %d rank(s) puts %llu bytes on one "
+                 "home (cap %llu)\n",
+                 gen.areas, gen.area_bytes, gen.nprocs,
+                 static_cast<unsigned long long>(home_bytes),
+                 static_cast<unsigned long long>(fuzz::kMaxHomeBytes));
+    return 2;
+  }
   double planted_fraction = cli.get_double("planted-fraction", 0.5);
   const std::string schedule_text = cli.get_string("schedule", "uniform");
   const auto schedule = fuzz::parse_schedule_mode(schedule_text);
@@ -306,103 +322,35 @@ int main(int argc, char** argv) {
   const bool drop_live_armed =
       std::any_of(fault_plans.begin(), fault_plans.end(),
                   [](const net::FaultPlan& p) { return p.drop_live_reports; });
-  const std::string backend = cli.get_string("backend", "sim");
+  const std::string backend_text = cli.get_string("backend", "sim");
+  const auto backend = fuzz::parse_backend(backend_text);
   const auto thread_reps = static_cast<int>(cli.get_int_in("thread-reps", 3, 1, kIntMax));
-  const auto sim_seeds = cli.get_uint("sim-seeds", 2);
   const auto stripes = static_cast<int>(cli.get_int_in("stripes", 8, 1, kIntMax));
   const auto thread_timeout_ms = cli.get_int_in("thread-timeout-ms", 10'000, 1, kIntMax);
-  if (backend != "sim" && backend != "threaded" && backend != "both") {
-    std::fprintf(stderr, "unknown --backend %s (sim|threaded|both)\n", backend.c_str());
+  if (!backend) {
+    std::fprintf(stderr, "unknown --backend %s (sim|threaded|both)\n", backend_text.c_str());
     return 2;
   }
   const bool verbose = cli.get_flag("verbose");
   cli.finish();
-
-  if (backend != "sim") {
-    fuzz::ThreadSweepConfig tsweep;
-    tsweep.base = gen;
-    tsweep.seeds = seeds;
-    tsweep.planted_fraction = planted_fraction;
-    tsweep.bug_kinds = bug_kinds;
-    tsweep.verbose = verbose;
-    tsweep.diff.thread_reps = thread_reps;
-    tsweep.diff.sim_schedule_seeds = sim_seeds;
-    tsweep.diff.compare_sim = backend == "both";
-    tsweep.diff.thread.stripes = stripes;
-    tsweep.diff.thread.timeout = std::chrono::milliseconds(thread_timeout_ms);
-
-    const auto start = std::chrono::steady_clock::now();
-    std::printf("--- dsmr_fuzz --backend %s: seeds [%llu..%llu], profile %s, %d "
-                "threaded rep(s) × %d rank-thread(s)%s ---\n",
-                backend.c_str(), static_cast<unsigned long long>(seeds.first),
-                static_cast<unsigned long long>(seeds.first + seeds.count - 1),
-                profile.c_str(), thread_reps, gen.nprocs,
-                backend == "both"
-                    ? (", sim oracle with " + std::to_string(sim_seeds) + " seed(s)")
-                          .c_str()
-                    : "");
-    const auto result = fuzz::run_thread_sweep(tsweep);
-    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-
-    for (const auto& divergence : result.divergences) {
-      std::printf("DIVERGENCE s%llu [%s]: %s\n",
-                  static_cast<unsigned long long>(divergence.program_seed),
-                  divergence.arm.c_str(), divergence.failure.c_str());
+  const bool sim_leg = *backend != fuzz::Backend::kThreaded;
+  const bool thread_leg = *backend != fuzz::Backend::kSim;
+  // Flags that act on the sim grid only: refuse them on a threaded-only run
+  // rather than ignore them (`--schedule uniform` is the seed mapping every
+  // backend draws with).
+  if (!sim_leg) {
+    const char* sim_only =
+        *schedule == fuzz::ScheduleMode::kCoverage ? "schedule coverage" : nullptr;
+    for (const char* flag :
+         {"corpus-dir", "exhaustive", "explore-max-interleavings", "fault", "faults",
+          "schedule-seeds", "perturbations", "perturb-min", "perturb-max", "record-dir",
+          "repro-dir", "no-shrink", "threads", "verbose"}) {
+      if (sim_only == nullptr && cli.has(flag)) sim_only = flag;
     }
-    util::Table table({"programs", "clean", "racy", "sometimes", "thread-runs",
-                       "manifested", "sim-runs", "divergences", "checks",
-                       "checks/sec", "ms"});
-    table.add_row({util::Table::fmt_int(result.programs),
-                   util::Table::fmt_int(result.clean_programs),
-                   util::Table::fmt_int(result.racy_programs),
-                   util::Table::fmt_int(result.sometimes_programs),
-                   util::Table::fmt_int(result.thread_runs),
-                   util::Table::fmt_int(result.thread_manifested),
-                   util::Table::fmt_int(result.sim_runs),
-                   util::Table::fmt_int(result.divergences.size()),
-                   util::Table::fmt_int(result.checks),
-                   util::Table::fmt(result.checks_per_sec(), 0),
-                   util::Table::fmt_int(static_cast<std::uint64_t>(ms))});
-    std::printf("%s", table.render().c_str());
-    std::printf("inline detector: %llu checks over %d rank-thread(s), %.0f checks/sec\n",
-                static_cast<unsigned long long>(result.checks), gen.nprocs,
-                result.checks_per_sec());
-
-    if (!json_path.empty()) {
-      std::ofstream out(json_path);
-      if (!out) {
-        std::fprintf(stderr, "cannot write --json %s\n", json_path.c_str());
-        return 2;
-      }
-      out << "{\"tool\":\"dsmr_fuzz\",\"backend\":\"" << trace::json_escape(backend)
-          << "\",\"first_seed\":" << seeds.first << ",\"seed_count\":" << seeds.count
-          << ",\"ranks\":" << gen.nprocs << ",\"thread_reps\":" << thread_reps
-          << ",\"programs\":" << result.programs << ",\"clean\":" << result.clean_programs
-          << ",\"racy\":" << result.racy_programs
-          << ",\"sometimes\":" << result.sometimes_programs
-          << ",\"thread_runs\":" << result.thread_runs
-          << ",\"thread_manifested\":" << result.thread_manifested
-          << ",\"sim_runs\":" << result.sim_runs
-          << ",\"sim_manifested\":" << result.sim_manifested
-          << ",\"checks\":" << result.checks
-          << ",\"checks_per_sec\":" << result.checks_per_sec()
-          << ",\"elapsed_ms\":" << ms
-          << ",\"divergences\":" << result.divergences.size()
-          << ",\"passed\":" << (result.divergences.empty() ? "true" : "false") << "}\n";
-      std::printf("wrote %s\n", json_path.c_str());
+    if (sim_only != nullptr) {
+      std::fprintf(stderr, "--%s needs the sim leg (--backend sim|both)\n", sim_only);
+      return 2;
     }
-
-    if (!result.divergences.empty()) {
-      std::printf("BACKEND DIVERGENCE: %zu signature disagreement(s) between the "
-                  "threaded backend and its contract/oracle (docs/testing.md)\n",
-                  result.divergences.size());
-      return 1;
-    }
-    std::printf("all %llu generated program(s) agree across backends\n",
-                static_cast<unsigned long long>(result.programs));
-    return 0;
   }
 
   fuzz::FuzzSweepConfig sweep;
@@ -428,6 +376,10 @@ int main(int argc, char** argv) {
   sweep.check.perturbations =
       sim::perturb_variants(static_cast<sim::Time>(perturb_min),
                             static_cast<sim::Time>(perturb_max), perturbations);
+  sweep.diff.backend = *backend;
+  sweep.diff.thread_reps = thread_reps;
+  sweep.diff.thread.stripes = stripes;
+  sweep.diff.thread.timeout = std::chrono::milliseconds(thread_timeout_ms);
 
   const auto start = std::chrono::steady_clock::now();
   auto elapsed_ms = [&start]() {
@@ -439,13 +391,22 @@ int main(int argc, char** argv) {
     sweep.out_of_budget = [&elapsed_ms, budget_ms]() { return elapsed_ms() >= budget_ms; };
   }
 
-  std::printf("--- dsmr_fuzz: seeds [%llu..%llu], profile %s, schedule %s, %llu "
-              "schedule seed(s) × %zu variant(s), %d thread(s)%s ---\n",
+  std::string legs;
+  if (sim_leg) {
+    legs = std::string("schedule ") + fuzz::to_string(*schedule) + ", " +
+           std::to_string(schedule_seeds) + " schedule seed(s) × " +
+           std::to_string(sweep.check.perturbations.size()) + " variant(s), " +
+           std::to_string(threads) + " thread(s)";
+  }
+  if (thread_leg) {
+    legs += (sim_leg ? ", " : "") + std::to_string(thread_reps) + " threaded rep(s) × " +
+            std::to_string(gen.nprocs) + " rank-thread(s)";
+  }
+  std::printf("--- dsmr_fuzz%s%s: seeds [%llu..%llu], profile %s, %s%s ---\n",
+              thread_leg ? " --backend " : "", thread_leg ? fuzz::to_string(*backend) : "",
               static_cast<unsigned long long>(seeds.first),
               static_cast<unsigned long long>(seeds.first + seeds.count - 1),
-              profile.c_str(), fuzz::to_string(*schedule),
-              static_cast<unsigned long long>(schedule_seeds),
-              sweep.check.perturbations.size(), threads,
+              profile.c_str(), legs.c_str(),
               fault_plans.empty() ? "" : " [FAULT INJECTION ON]");
   for (const auto& plan : fault_plans) {
     std::printf("fault plan: %s (%s)\n", plan.to_string().c_str(),
@@ -577,41 +538,38 @@ int main(int argc, char** argv) {
     failures.push_back(std::move(record));
   }
 
+  for (const auto& divergence : result.thread.failures) {
+    std::printf("DIVERGENCE %s\n", divergence.c_str());
+  }
   if (!record_dir.empty()) {
     std::printf("recorded %llu ordering log(s) under %s\n",
-                static_cast<unsigned long long>(result.recorded_logs),
-                record_dir.c_str());
+                static_cast<unsigned long long>(result.recorded_logs), record_dir.c_str());
   }
-  util::Table table({"programs", "planted", "clean", "schedules", "fault-runs",
-                     "watchdog", "signatures", "failures", "ms"});
-  table.add_row({util::Table::fmt_int(result.programs),
-                 util::Table::fmt_int(result.planted), util::Table::fmt_int(result.clean),
-                 util::Table::fmt_int(result.schedules),
+  util::Table table({"programs", "planted", "clean", "schedules", "fault-runs", "watchdog",
+                     "signatures", "failures", "ms"});
+  table.add_row({util::Table::fmt_int(result.programs), util::Table::fmt_int(result.planted),
+                 util::Table::fmt_int(result.clean), util::Table::fmt_int(result.schedules),
                  util::Table::fmt_int(result.fault_runs),
                  util::Table::fmt_int(result.watchdog_runs),
                  util::Table::fmt_int(result.distinct_signatures),
                  util::Table::fmt_int(failures.size()),
                  util::Table::fmt_int(static_cast<std::uint64_t>(elapsed_ms()))});
   std::printf("%s", table.render().c_str());
-
-  // The taxonomy table: bug kind → programs, manifestation, failures.
-  util::Table kinds_table(
-      {"kind", "programs", "manifested", "mean-rate", "failures"});
-  for (const auto& [kind, stats] : result.kinds) {
-    kinds_table.add_row({kind, util::Table::fmt_int(stats.programs),
-                         util::Table::fmt_int(stats.manifested_programs),
-                         util::Table::fmt(stats.mean_manifestation(), 3),
-                         util::Table::fmt_int(stats.failures)});
+  if (sim_leg) {
+    // The taxonomy table: bug kind → programs, manifestation on the sim
+    // grid, failing programs on either leg.
+    util::Table kinds_table({"kind", "programs", "manifested", "mean-rate", "failures"});
+    for (const auto& [kind, stats] : result.kinds) {
+      kinds_table.add_row({kind, util::Table::fmt_int(stats.programs),
+                           util::Table::fmt_int(stats.manifested_programs),
+                           util::Table::fmt(stats.mean_manifestation(), 3),
+                           util::Table::fmt_int(stats.failures)});
+    }
+    std::printf("%s", kinds_table.render().c_str());
   }
-  std::printf("%s", kinds_table.render().c_str());
   if (!corpus_dir.empty()) {
     std::printf("corpus: %llu new signature(s) appended to %s/signatures.tsv\n",
                 static_cast<unsigned long long>(result.corpus_new), corpus_dir.c_str());
-  }
-  if (result.budget_hit) {
-    std::printf("stopped at --budget-ms %lld after %llu program(s)\n",
-                static_cast<long long>(budget_ms),
-                static_cast<unsigned long long>(result.programs));
   }
   if (exhaustive) {
     std::printf("exhaustive: %llu program(s) explored (%llu interleavings), "
@@ -619,6 +577,33 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(result.explored_programs),
                 static_cast<unsigned long long>(result.explored_interleavings),
                 static_cast<unsigned long long>(result.explore_skipped_programs));
+  }
+  if (result.budget_hit) {
+    std::printf("stopped at --budget-ms %lld after %llu program(s)\n",
+                static_cast<long long>(budget_ms),
+                static_cast<unsigned long long>(result.programs));
+  }
+  // The threaded leg next to the sim grid: real-schedule counts, and the
+  // sim grid's over the same programs' completed fault-free runs.
+  std::uint64_t racy = 0, sometimes = 0, sim_runs = 0, sim_manifested = 0;
+  for (const auto& outcome : result.outcomes) {
+    if (outcome.expect == fuzz::Expectation::kRacy) ++racy;
+    if (outcome.expect == fuzz::Expectation::kSometimes) ++sometimes;
+    sim_runs += outcome.completed;
+    sim_manifested += outcome.manifested;
+  }
+  const std::size_t divergences = failures.size() + result.thread.failures.size();
+  if (thread_leg) {
+    std::printf("threaded leg: %llu run(s), %llu manifested, %llu recorded run(s) "
+                "replayed, %zu divergence(s); sim grid: %llu/%llu run(s) manifested\n",
+                static_cast<unsigned long long>(result.thread.runs),
+                static_cast<unsigned long long>(result.thread.manifested),
+                static_cast<unsigned long long>(result.thread.record_replay_checks),
+                result.thread.failures.size(), static_cast<unsigned long long>(sim_manifested),
+                static_cast<unsigned long long>(sim_runs));
+    std::printf("inline detector: %llu checks over %d rank-thread(s), %.0f checks/sec\n",
+                static_cast<unsigned long long>(result.thread.checks), gen.nprocs,
+                result.thread.checks_per_sec());
   }
 
   if (!json_path.empty()) {
@@ -631,8 +616,9 @@ int main(int argc, char** argv) {
         << ",\"seed_count\":" << seeds.count << ",\"profile\":\""
         << trace::json_escape(profile) << "\",\"schedule\":\""
         << fuzz::to_string(*schedule) << "\",\"ranks\":" << gen.nprocs
-        << ",\"schedule_seeds\":" << schedule_seeds
-        << ",\"variants\":" << sweep.check.perturbations.size() << ",\"faults\":\"";
+        << ",\"schedule_seeds\":" << (sim_leg ? schedule_seeds : 0)
+        << ",\"variants\":" << (sim_leg ? sweep.check.perturbations.size() : 0)
+        << ",\"faults\":\"";
     for (std::size_t i = 0; i < fault_plans.size(); ++i) {
       out << (i > 0 ? "; " : "") << trace::json_escape(fault_plans[i].to_string());
     }
@@ -646,7 +632,7 @@ int main(int argc, char** argv) {
         << ",\"signatures\":" << result.distinct_signatures
         << ",\"corpus_new\":" << result.corpus_new << ",\"elapsed_ms\":" << elapsed_ms()
         << ",\"budget_hit\":" << (result.budget_hit ? "true" : "false")
-        << ",\"passed\":" << (failures.empty() ? "true" : "false") << ",\"kinds\":[";
+        << ",\"passed\":" << (divergences == 0 ? "true" : "false") << ",\"kinds\":[";
     bool first_kind = true;
     for (const auto& [kind, stats] : result.kinds) {
       if (!first_kind) out << ",";
@@ -673,7 +659,18 @@ int main(int argc, char** argv) {
           << ",\"ops_before\":" << f.ops_before << ",\"ops_after\":" << f.ops_after
           << ",\"repro\":\"" << trace::json_escape(f.repro_path) << "\"}";
     }
-    out << "]}\n";
+    out << "]";
+    if (thread_leg) {
+      out << ",\"backend\":\"" << fuzz::to_string(*backend)
+          << "\",\"thread_reps\":" << thread_reps << ",\"racy\":" << racy
+          << ",\"sometimes\":" << sometimes << ",\"thread_runs\":" << result.thread.runs
+          << ",\"thread_manifested\":" << result.thread.manifested
+          << ",\"sim_runs\":" << sim_runs << ",\"sim_manifested\":" << sim_manifested
+          << ",\"checks\":" << result.thread.checks
+          << ",\"checks_per_sec\":" << result.thread.checks_per_sec()
+          << ",\"divergences\":" << divergences;
+    }
+    out << "}\n";
     std::printf("wrote %s\n", json_path.c_str());
   }
 
@@ -681,9 +678,18 @@ int main(int argc, char** argv) {
     std::printf("FUZZ FAILURE: %zu program(s) violated an invariant — replay any "
                 "repro with --replay (docs/testing.md)\n",
                 failures.size());
-    return 1;
   }
+  if (!result.thread.failures.empty()) {
+    std::printf("BACKEND DIVERGENCE: %zu disagreement(s) between the threaded backend "
+                "and the program's contract (docs/testing.md)\n",
+                result.thread.failures.size());
+  }
+  if (divergences > 0) return 1;
   std::printf("all %llu generated program(s) conformant\n",
               static_cast<unsigned long long>(result.programs));
+  if (thread_leg) {
+    std::printf("all %llu generated program(s) agree across backends\n",
+                static_cast<unsigned long long>(result.programs));
+  }
   return 0;
 }
